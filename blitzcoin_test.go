@@ -2,6 +2,7 @@ package blitzcoin
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -215,5 +216,17 @@ func TestDeterminism(t *testing.T) {
 	b := RunSoC(SoCOptions{Seed: 9, Repeat: 1})
 	if a.ExecMicros != b.ExecMicros || a.AvgPowerMW != b.AvgPowerMW {
 		t.Fatalf("same seed diverged: %v vs %v", a, b)
+	}
+}
+
+// This request once panicked "sim: event scheduled in the past" (see
+// internal/soc TestOvershotTaskRearmsCompletion); it must serve a result.
+func TestExecuteSoC6x6OvershootSeed(t *testing.T) {
+	res, err := Execute(context.Background(), Request{SoC: &SoCOptions{SoC: "6x6", Scheme: BC, Seed: 3228251183}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SoC.Completed {
+		t.Fatalf("run did not complete: %+v", res.SoC)
 	}
 }

@@ -212,8 +212,7 @@ func TestFullJitterBackoff(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReadiness checks the readiness surface the autoscaler
-// and /readyz consume.
+// TestCoordinatorReadiness checks the readiness surface /readyz consumes.
 func TestCoordinatorReadiness(t *testing.T) {
 	w := newWorker(t)
 	c := newCoordinator(t, blitzcoin.ClusterOptions{Workers: []string{w.URL}})
@@ -226,8 +225,7 @@ func TestCoordinatorReadiness(t *testing.T) {
 		t.Fatalf("readiness with all workers dead = %+v", cr)
 	}
 	c.registry.markAlive(w.URL, true)
-	c.registry.beginDrain(w.URL)
-	if cr := c.Readiness(); cr.Ready || cr.DrainingWorkers != 1 {
-		t.Fatalf("readiness with the only worker draining = %+v", cr)
+	if cr := c.Readiness(); !cr.Ready || cr.AliveWorkers != 1 {
+		t.Fatalf("readiness after revival = %+v", cr)
 	}
 }

@@ -44,15 +44,14 @@ type ClusterBackend interface {
 }
 
 // ClusterReadiness is the coordinator section of the /readyz body: queue
-// depth and per-worker inflight so an autoscaler can add workers under
-// backlog and drain idle ones.
+// depth and per-worker inflight so an external autoscaler can size the
+// worker pool.
 type ClusterReadiness struct {
-	Ready           bool           `json:"ready"`
-	AliveWorkers    int            `json:"alive_workers"`
-	DrainingWorkers int            `json:"draining_workers"`
-	QueueDepth      int64          `json:"queue_depth"`
-	RunningShards   int64          `json:"running_shards"`
-	WorkerInflight  map[string]int `json:"worker_inflight,omitempty"`
+	Ready          bool           `json:"ready"`
+	AliveWorkers   int            `json:"alive_workers"`
+	QueueDepth     int64          `json:"queue_depth"`
+	RunningShards  int64          `json:"running_shards"`
+	WorkerInflight map[string]int `json:"worker_inflight,omitempty"`
 }
 
 // readyBody is the body of GET /readyz. Distinct from /healthz: liveness

@@ -26,7 +26,7 @@
 // registers an op handler once (RegisterOp) and schedules (op, tile, x)
 // triples (ScheduleOp/AtOp) with no closure, no interface boxing, and no GC
 // write barriers when events move between buckets and the run buffer.
-// Closure events (Schedule/At/ScheduleCall/AtCall) park their function in a
+// Closure events (Schedule/At) park their function in a
 // freelist-backed side store and travel through the queue as a slot index.
 package sim
 
@@ -99,14 +99,6 @@ type spillEv struct {
 	ev  ev
 }
 
-// closure is a parked Schedule/ScheduleCall callback. Exactly one of fn/afn
-// is set.
-type closure struct {
-	fn  func()
-	afn func(any)
-	arg any
-}
-
 // Kernel is a discrete-event scheduler. The zero value is ready to use.
 type Kernel struct {
 	now Cycles
@@ -141,7 +133,7 @@ type Kernel struct {
 	ops []func(tile int32, x uint64)
 	// closures is the side store for parked closure events; free lists the
 	// vacant slots.
-	closures []closure
+	closures []func()
 	free     []int32
 }
 
@@ -172,14 +164,6 @@ func (k *Kernel) Schedule(delay Cycles, fn func()) {
 	k.At(k.now+delay, fn)
 }
 
-// ScheduleCall runs fn(arg) after delay cycles. It exists for hot paths: a
-// caller that would otherwise close over a per-event value can instead keep
-// one long-lived fn and pass the value through arg, avoiding a closure
-// allocation per event. Pointer-shaped args do not allocate when boxed.
-func (k *Kernel) ScheduleCall(delay Cycles, fn func(any), arg any) {
-	k.AtCall(k.now+delay, fn, arg)
-}
-
 // ScheduleOp runs the registered op with (tile, x) after delay cycles: the
 // zero-allocation, zero-indirection form hot models schedule their events
 // through.
@@ -190,13 +174,7 @@ func (k *Kernel) ScheduleOp(delay Cycles, op OpCode, tile int32, x uint64) {
 // At runs fn at absolute time t. Scheduling in the past panics: it always
 // indicates a model bug, and silently reordering would corrupt causality.
 func (k *Kernel) At(t Cycles, fn func()) {
-	k.push(t, ev{op: opClosure, tile: k.park(closure{fn: fn})})
-}
-
-// AtCall runs fn(arg) at absolute time t; the argument-carrying sibling of
-// At, with the same past-scheduling rule.
-func (k *Kernel) AtCall(t Cycles, fn func(any), arg any) {
-	k.push(t, ev{op: opClosure, tile: k.park(closure{afn: fn, arg: arg})})
+	k.push(t, ev{op: opClosure, tile: k.park(fn)})
 }
 
 // AtOp runs the registered op with (tile, x) at absolute time t; the typed
@@ -205,15 +183,15 @@ func (k *Kernel) AtOp(t Cycles, op OpCode, tile int32, x uint64) {
 	k.push(t, ev{op: op, tile: tile, x: x})
 }
 
-// park stores c in the closure side store and returns its slot.
-func (k *Kernel) park(c closure) int32 {
+// park stores fn in the closure side store and returns its slot.
+func (k *Kernel) park(fn func()) int32 {
 	if n := len(k.free) - 1; n >= 0 {
 		slot := k.free[n]
 		k.free = k.free[:n]
-		k.closures[slot] = c
+		k.closures[slot] = fn
 		return slot
 	}
-	k.closures = append(k.closures, c)
+	k.closures = append(k.closures, fn)
 	return int32(len(k.closures) - 1)
 }
 
@@ -373,14 +351,10 @@ func (k *Kernel) exec(e ev) {
 		k.ops[e.op](e.tile, e.x)
 		return
 	}
-	c := k.closures[e.tile]
-	k.closures[e.tile] = closure{} // release callback/arg references
+	fn := k.closures[e.tile]
+	k.closures[e.tile] = nil // release the callback's captures
 	k.free = append(k.free, e.tile)
-	if c.afn != nil {
-		c.afn(c.arg)
-	} else {
-		c.fn()
-	}
+	fn()
 }
 
 // Step executes the next pending event and advances time to it. It reports

@@ -353,7 +353,9 @@ func (r *Runner) scheduleCompletion(t *accelTile) {
 	if t.freqMHz <= 0 {
 		panic("soc: tile clock stalled with an active task")
 	}
-	eta := sim.Cycles(math.Ceil(t.remaining*800.0/t.freqMHz)) + 1
+	// A task that overshot between progress updates has remaining < 0; the
+	// clamp keeps eta at 1 cycle instead of wrapping the unsigned cast.
+	eta := sim.Cycles(math.Max(0, math.Ceil(t.remaining*800.0/t.freqMHz))) + 1
 	r.kernel.ScheduleOp(eta, r.opComplete, int32(t.idx), uint64(t.compEpoch))
 }
 

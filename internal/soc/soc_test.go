@@ -251,3 +251,24 @@ func TestSchemeAndStrategyStrings(t *testing.T) {
 		t.Fatal("tile kind names wrong")
 	}
 }
+
+// A tile can run past its task's end between progress updates, so a UVFR
+// settle may re-arm the completion with remaining < 0. The delay must clamp
+// to one cycle: seed 3228251183 used to wrap it and panic "event scheduled
+// in the past".
+func TestOvershotTaskRearmsCompletion(t *testing.T) {
+	r := New(SoC6x6(200, SchemeBC, 3228251183))
+	res := r.Run(workload.Repeat(workload.SevenAcceleratorParallel(), 3))
+	if !res.Completed {
+		t.Fatalf("run did not complete: %s", res.String())
+	}
+	bc := r.Controller().(*bcAdapter)
+	has, _ := bc.Emulator().Snapshot()
+	var sum int64
+	for _, h := range has {
+		sum += h
+	}
+	if sum != bc.pool {
+		t.Fatalf("coins at end = %d, pool = %d", sum, bc.pool)
+	}
+}
