@@ -116,6 +116,3 @@ bench-report:
 
 figures:
 	$(GO) run ./cmd/blitzsim -fig all
-	$(GO) run ./cmd/socsim -fig all
-	$(GO) run ./cmd/silicon -fig all
-	$(GO) run ./cmd/scaling -fig 21

@@ -1,167 +1,183 @@
-// Command blitzsim runs the algorithm-level coin-exchange experiments of
-// Sec. III: the 1-way vs 4-way comparison (Fig. 3), the BlitzCoin vs
-// TokenSmart comparison (Fig. 4), the dynamic-timing ablation (Fig. 6), the
-// random-pairing residual-error histograms (Fig. 7), the heterogeneity
-// sweep (Fig. 8), and the robustness extension's drop-rate sweep (-fig
-// faults): the hardened exchange under 0-5% PM-plane packet loss.
+// Command blitzsim reproduces the paper's figures and tables from the
+// figure registry (blitzcoin.FigureNames). For each selected entry it
+// prints "# <title>" and then the report lines of blitzcoin.RunFigure: the
+// same lines blitzd serves for a figure request.
 //
 // Usage:
 //
-//	blitzsim -fig 3 [-trials 100] [-seed 1] [-dmax 20]
-//	blitzsim -fig 7 [-trials 1000]
+//	blitzsim -fig 7 [-trials 1000] [-seed 1]
 //	blitzsim -fig all [-parallel 8]
+//	blitzsim -fig 16 -outdir traces/
 //	blitzsim -fig 3 -cpuprofile cpu.out -memprofile mem.out
 //
-// Trials fan out across -parallel worker goroutines (0 = GOMAXPROCS);
-// every parallelism level prints byte-identical rows. SIGINT cancels the
-// sweep in flight: already-finished trials are folded into the rows, which
-// print with a partial-results warning.
+// -outdir also writes the time series that report lines cannot carry: one
+// power-trace CSV per Fig. 16 run (fig16_*.csv) and the Fig. 20 coin-count
+// trace (fig20_coin_trace.csv). Sweeps fan out across -parallel worker
+// goroutines (0 = GOMAXPROCS); every parallelism level prints identical
+// lines. SIGINT cancels the sweep in flight: the trials that finished are
+// folded into the lines, which print with a partial-results warning, and
+// blitzsim exits 130.
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 
+	"blitzcoin"
 	"blitzcoin/internal/experiments"
 	"blitzcoin/internal/sweep"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 6, 7, 8, contention, faults, or all")
-	trials := flag.Int("trials", 0, "Monte Carlo trials per point (default: figure-specific)")
-	seed := flag.Uint64("seed", 1, "base random seed")
-	dmax := flag.Int("dmax", 20, "largest mesh dimension d (N = d*d)")
-	parallel := flag.Int("parallel", 0, "worker goroutines per sweep (0 = GOMAXPROCS); any value yields identical output")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one blitzsim invocation and returns its exit code: 0 on
+// success, 1 on an I/O failure, 2 on a usage error, 130 when interrupted.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	names := blitzcoin.FigureNames()
+	fs := flag.NewFlagSet("blitzsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "registry entry to reproduce ("+strings.Join(names, ", ")+") or all")
+	trials := fs.Int("trials", 0, "Monte Carlo trials per point (0 = the figure's default)")
+	seed := fs.Uint64("seed", 1, "base random seed")
+	parallel := fs.Int("parallel", 0, "worker goroutines per sweep (0 = GOMAXPROCS); any value prints identical lines")
+	outdir := fs.String("outdir", "", "directory for the Fig. 16 power-trace and Fig. 20 coin-trace CSVs (optional)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *fig != "all" {
+		if _, ok := blitzcoin.FigureTitle(*fig); !ok {
+			fmt.Fprintf(stderr, "blitzsim: unknown figure %q (want %s, or all)\n", *fig, strings.Join(names, ", "))
+			return 2
+		}
+		names = []string{*fig}
+	}
 	sweep.SetDefaultParallelism(*parallel)
 
 	// SIGINT/SIGTERM cancel the sweeps: no new trials are dispatched, the
-	// trials already running finish, and the partially filled rows print
-	// with a warning.
+	// trials already running finish, and the partial lines print.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "blitzsim: %v\n", err)
+		return 1
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "blitzsim: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "blitzsim: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail(err)
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && code == 0 {
+				code = fail(err)
+			}
+		}()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "blitzsim: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
 			runtime.GC() // profile retained allocations, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "blitzsim: %v\n", err)
-				os.Exit(1)
+			if err := writeFile(*memprofile, pprof.WriteHeapProfile); err != nil && code == 0 {
+				code = fail(err)
 			}
 		}()
 	}
 
-	dims := []int{}
-	for d := 4; d <= *dmax; d += 4 {
-		dims = append(dims, d)
-	}
-	pick := func(def int) int {
-		if *trials > 0 {
-			return *trials
+	for i, name := range names {
+		if i > 0 {
+			fmt.Fprintln(stdout)
 		}
-		return def
-	}
-
-	run := map[string]func(){
-		"3": func() {
-			fmt.Println("# Fig. 3 — 1-way vs 4-way: packets and cycles to convergence (Err < 1.5)")
-			for _, r := range experiments.Fig03(ctx, dims, pick(100), *seed) {
-				fmt.Println(r)
-			}
-		},
-		"4": func() {
-			fmt.Println("# Fig. 4 — BlitzCoin vs TokenSmart convergence time")
-			for _, r := range experiments.Fig04(ctx, dims, pick(100), *seed) {
-				fmt.Println(r)
-			}
-		},
-		"6": func() {
-			fmt.Println("# Fig. 6 — conventional vs dynamic-timing 1-way exchange (Err < 1.0)")
-			for _, r := range experiments.Fig06(ctx, dims, pick(100), *seed) {
-				fmt.Println(r)
-			}
-		},
-		"7": func() {
-			fmt.Println("# Fig. 7 — worst-case residual error with/without random pairing")
-			for _, r := range experiments.Fig07(ctx, []int{100, 400}, pick(1000), *seed) {
-				fmt.Println(r)
-				fmt.Print(r.Hist)
-			}
-		},
-		"8": func() {
-			fmt.Println("# Fig. 8 — convergence time vs heterogeneity (accType) and size")
-			for _, r := range experiments.Fig08(ctx, dims, []int{1, 2, 4, 8}, pick(50), *seed) {
-				fmt.Println(r)
-			}
-		},
-		"contention": func() {
-			fmt.Println("# Extension — convergence under background plane-5 traffic")
-			for _, r := range experiments.ContentionStudy(ctx, 12, []int{0, 20, 50, 100, 200}, pick(10), *seed) {
-				fmt.Println(r)
-			}
-		},
-		"faults": func() {
-			fmt.Println("# Extension — hardened exchange under PM-plane packet loss")
-			for _, r := range experiments.FaultStudy(ctx, []int{6, 10, 14},
-				[]float64{0, 0.005, 0.01, 0.02, 0.05}, pick(10), *seed) {
-				fmt.Println(r)
-			}
-		},
-	}
-
-	// interrupted reports (and announces) a cancelled sweep: the rows
-	// printed so far fold only the trials that finished before SIGINT.
-	interrupted := func() bool {
-		if ctx.Err() == nil {
-			return false
+		res, err := blitzcoin.RunFigure(ctx, blitzcoin.FigureOptions{Name: name, Trials: *trials, Seed: *seed})
+		if err != nil {
+			fmt.Fprintf(stderr, "blitzsim: %v\n", err)
+			return 2
 		}
-		fmt.Println("\nblitzsim: interrupted — partial results above (undispatched trials omitted)")
-		return true
-	}
-
-	if *fig == "all" {
-		for _, k := range []string{"3", "4", "6", "7", "8", "contention", "faults"} {
-			run[k]()
-			fmt.Println()
-			if interrupted() {
-				os.Exit(130)
+		fmt.Fprintf(stdout, "# %s\n", res.Title)
+		for _, line := range res.Lines {
+			fmt.Fprintln(stdout, line)
+		}
+		if ctx.Err() != nil {
+			fmt.Fprintln(stdout, "\nblitzsim: interrupted — partial results above (undispatched trials omitted)")
+			return 130
+		}
+		if *outdir != "" {
+			if err := writeTraces(*outdir, name, *seed, stderr); err != nil {
+				return fail(err)
 			}
 		}
-		return
 	}
-	f, ok := run[*fig]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "blitzsim: unknown figure %q (want 3, 4, 6, 7, 8, contention, faults, all)\n", *fig)
-		os.Exit(2)
+	return 0
+}
+
+// writeTraces writes the time series behind a figure's report lines into
+// dir: one power-trace CSV per Fig. 16 run, or the Fig. 20 coin trace.
+// The other figures have none. The trace runs ignore SIGINT: a cancelled
+// Fig. 16 sweep leaves runs without a trace to write.
+func writeTraces(dir, name string, seed uint64, stderr io.Writer) error {
+	o := blitzcoin.FigureOptions{Name: name, Seed: seed}.Normalized()
+	traces := map[string]*bytes.Buffer{}
+	switch name {
+	case "16":
+		experiments.Fig16(context.Background(), o.Seed, func(file string) io.Writer {
+			traces[file] = new(bytes.Buffer)
+			return traces[file]
+		})
+	case "20":
+		rec, _ := experiments.Fig20Trace(o.BudgetMW, o.Seed)
+		traces["fig20_coin_trace.csv"] = new(bytes.Buffer)
+		if err := rec.WriteCSV(traces["fig20_coin_trace.csv"]); err != nil {
+			return err
+		}
+	default:
+		return nil
 	}
-	f()
-	if interrupted() {
-		os.Exit(130)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
+	for file, b := range traces {
+		if err := writeFile(filepath.Join(dir, file), func(w io.Writer) error {
+			_, err := b.WriteTo(w)
+			return err
+		}); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stderr, "blitzsim: fig %s: %d trace CSV(s) written to %s\n", name, len(traces), dir)
+	return nil
+}
+
+// writeFile creates path, fills it with write, and reports the first error
+// of the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -13,15 +13,15 @@ import (
 
 // FigureOptions selects one of the paper's figures or tables by registry
 // name and overrides its sweep parameters. Every field except Name is
-// optional; zero values take the figure's own defaults (the same defaults
-// the CLIs use), so a bare {"name": "7"} reproduces the published plot.
+// optional; zero values take the figure's own defaults, so a bare
+// {"name": "7"} reproduces the published plot.
 type FigureOptions struct {
 	// Name is the registry key: "1", "3", "4", "6", "7", "8", "13", "16",
 	// "17", "18", "19", "20", "21", "ap-rp", "contention", "degraded",
 	// "faults", "nopm", "table1". FigureNames lists them.
 	Name string `json:"name"`
 	// Trials overrides the Monte Carlo trials per point where the figure
-	// sweeps (default: figure-specific, matching the CLIs).
+	// sweeps (default: figure-specific).
 	Trials int `json:"trials,omitempty"`
 	// Seed is the base random seed. Default 1.
 	Seed uint64 `json:"seed,omitempty"`
@@ -91,8 +91,9 @@ func stringRows[T fmt.Stringer](rows []T) []string {
 
 var paperDims = []int{4, 8, 12, 16, 20}
 
-// figureRegistry maps registry names to their specs. Runners mirror the
-// CLI output byte for byte, so a served figure equals the printed one.
+// figureRegistry maps registry names to their specs. cmd/blitzsim prints
+// RunFigure's title and lines directly, so a served figure equals the
+// printed one.
 var figureRegistry = map[string]figureSpec{
 	"1": {
 		title: "Fig. 1 — response time vs activity-change interval Tw/N",
@@ -465,7 +466,7 @@ func (o FigureOptions) Validate() error {
 }
 
 // RunFigure reproduces a registered figure and returns its report lines,
-// byte-identical to the corresponding CLI output at any parallelism. The
+// byte-identical at any parallelism; cmd/blitzsim prints them as is. The
 // context cancels the figure's sweeps between runs; RunFigure itself does
 // not fail on cancellation — callers that must not serve partial figures
 // (Execute, the daemon) check ctx.Err() afterwards.

@@ -144,3 +144,30 @@ func TestExecutedAndPendingCounters(t *testing.T) {
 		t.Fatalf("Executed=%d Pending=%d", k.Executed(), k.Pending())
 	}
 }
+
+// The steady-state schedule/execute cycle of typed ops must not allocate:
+// buckets and the run buffer reuse their capacity, and an op event carries
+// no closure or boxed argument. This is the property that removes the
+// per-packet event cost from the emulator hot path.
+func TestScheduleOpSteadyStateDoesNotAllocate(t *testing.T) {
+	var k Kernel
+	var sum uint64
+	op := k.RegisterOp(func(_ int32, x uint64) { sum += x })
+	// Warm the bucket ring and the run buffer.
+	for i := 0; i < 64; i++ {
+		k.ScheduleOp(Cycles(i), op, int32(i), 1)
+	}
+	k.Drain()
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 32; i++ {
+			k.ScheduleOp(Cycles(i+1), op, int32(i), 1)
+		}
+		k.Drain()
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state ScheduleOp+Drain allocates %v per run, want 0", avg)
+	}
+	if sum != 64+101*32 {
+		t.Fatalf("ops ran %d times, want %d", sum, 64+101*32)
+	}
+}
