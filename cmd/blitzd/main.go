@@ -3,7 +3,8 @@
 // bounded worker pool, coalesces identical in-flight requests into one
 // computation, and serves repeats byte-identically from a content-
 // addressed result cache keyed on the canonical request hash and engine
-// version.
+// version: one tier stack (internal/store) of a memory LRU bounded by
+// -cache-entries/-cache-mb over the optional -store disk tier.
 //
 // Usage:
 //
@@ -39,14 +40,15 @@
 // before batch. Without -keys every request maps to one unlimited
 // anonymous tenant — the pre-tenancy behavior.
 //
-// Persistent store: `-store dir` adds a disk tier beneath the in-memory
-// result cache: every computed sweep and shard is persisted
-// (content-addressed by request hash + engine version, checksummed,
-// written atomically), a memory miss consults disk before computing,
+// Persistent store: `-store dir` adds the disk tier beneath the memory
+// tier: every computed sweep and shard is persisted (content-addressed by
+// request hash + engine version, checksummed, written atomically), a
+// memory miss consults disk before computing and promotes what it finds,
 // and a restarted daemon warms its index from the directory in the
-// background — so a populated store serves repeat sweeps byte-identically
-// across restarts with zero re-execution. -store-max-mb bounds the
-// directory; least-recently-used blobs are garbage-collected past it.
+// background — so a populated store serves repeat sweeps (and answers
+// /v1/stream for them) byte-identically across restarts with zero
+// re-execution. -store-max-mb bounds the directory; least-recently-used
+// blobs are garbage-collected past it.
 //
 // Ledger mode: `-ledger path` appends every computed result (options
 // hash, engine version, canonical result SHA) to a Merkle-batched

@@ -6,16 +6,15 @@ import (
 )
 
 // flight is one in-progress computation shared by every request that asked
-// for the same canonical hash while it ran. done closes when bytes/err are
-// final.
+// for the same key while it ran. done closes when bytes/err are final.
 //
-// Shard flights (leaseShard) additionally carry a cancellable context and
-// a waiter count: when every attached request has abandoned the flight —
-// a speculation race was lost, or the coordinator cancelled the sweep —
-// the computation itself is cancelled so the worker slot frees up, instead
-// of burning a pool slot on rows nobody will read. Sweep flights (lease)
-// keep the opposite policy: they run detached so the result still lands
-// in the cache for the next asker.
+// Every flight carries a cancellable context and a waiter count: when
+// every attached request has abandoned the flight, the computation itself
+// is cancelled so its pool slot frees up. Shard requests abandon on
+// disconnect — a speculation race was lost, or the coordinator cancelled
+// the sweep — so nobody burns a slot on rows nobody will read. The sweep
+// handler never abandons, so sweep flights run detached and the result
+// still lands in the cache for the next asker.
 type flight struct {
 	done  chan struct{}
 	bytes []byte
@@ -40,24 +39,10 @@ func newFlightGroup() *flightGroup {
 }
 
 // lease returns the flight for key and whether the caller is its leader.
-// The leader must call complete exactly once. The computation is
-// detached: it cannot be cancelled by departing waiters.
-func (g *flightGroup) lease(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	g.m[key] = f
-	return f, true
-}
-
-// leaseShard is lease for cancellable shard computations: the returned
-// flight carries a context derived from base that abandon cancels once
-// the last waiter departs. Every caller must call abandon exactly once if
-// it stops waiting before the flight completes.
-func (g *flightGroup) leaseShard(key string, base context.Context) (*flight, bool) {
+// The leader must call complete exactly once. The flight's context derives
+// from base and is cancelled by the last abandon: a caller that stops
+// waiting before the flight completes must call abandon exactly once.
+func (g *flightGroup) lease(key string, base context.Context) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.m[key]; ok {
@@ -70,14 +55,14 @@ func (g *flightGroup) leaseShard(key string, base context.Context) (*flight, boo
 	return f, true
 }
 
-// abandon detaches one waiter from a shard flight; the last departure
-// cancels the computation.
+// abandon detaches one waiter from a flight; the last departure cancels
+// the computation.
 func (g *flightGroup) abandon(f *flight) {
 	g.mu.Lock()
 	f.waiters--
 	last := f.waiters <= 0
 	g.mu.Unlock()
-	if last && f.cancel != nil {
+	if last {
 		f.cancel()
 	}
 }
@@ -107,8 +92,6 @@ func (g *flightGroup) complete(key string, f *flight, b []byte, err error) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
-	if f.cancel != nil {
-		f.cancel()
-	}
+	f.cancel()
 	close(f.done)
 }

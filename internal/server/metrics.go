@@ -143,10 +143,10 @@ func (m *metrics) inflightNow() int64 {
 }
 
 // write renders the catalog in Prometheus text exposition format, in a
-// deterministic order. bus, led, st, and reg are sampled at scrape time;
-// led and st may be nil (not configured — their sections read zero or are
-// omitted).
-func (m *metrics) write(w io.Writer, c *cache, p *pool, bus *trace.Bus, led *ledger.Ledger, st *store.Store, reg *tenant.Registry) {
+// deterministic order. cs is the result tiers' snapshot; bus, led, and
+// reg are sampled at scrape time; led and cs.Disk may be nil (not
+// configured — their sections read zero or are omitted).
+func (m *metrics) write(w io.Writer, cs store.CacheStats, p *pool, bus *trace.Bus, led *ledger.Ledger, reg *tenant.Registry) {
 	m.mu.Lock()
 	type labeled struct {
 		kind, status string
@@ -179,8 +179,6 @@ func (m *metrics) write(w io.Writer, c *cache, p *pool, bus *trace.Bus, led *led
 		return reqs[i].status < reqs[j].status
 	})
 
-	hits, misses, evictions, entries, bytes := c.stats()
-
 	fmt.Fprintln(w, "# HELP blitzd_requests_total Finished sweep requests by kind and status.")
 	fmt.Fprintln(w, "# TYPE blitzd_requests_total counter")
 	for _, r := range reqs {
@@ -203,21 +201,21 @@ func (m *metrics) write(w io.Writer, c *cache, p *pool, bus *trace.Bus, led *led
 		fmt.Fprintf(w, "blitzd_request_duration_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
 		fmt.Fprintf(w, "blitzd_request_duration_seconds_count{endpoint=%q} %d\n", ep, h.count)
 	}
-	fmt.Fprintln(w, "# HELP blitzd_cache_hits_total Requests served from the result cache.")
+	fmt.Fprintln(w, "# HELP blitzd_cache_hits_total Requests served from the memory tier of the result cache.")
 	fmt.Fprintln(w, "# TYPE blitzd_cache_hits_total counter")
-	fmt.Fprintf(w, "blitzd_cache_hits_total %d\n", hits)
-	fmt.Fprintln(w, "# HELP blitzd_cache_misses_total Requests that had to compute.")
+	fmt.Fprintf(w, "blitzd_cache_hits_total %d\n", cs.Hits)
+	fmt.Fprintln(w, "# HELP blitzd_cache_misses_total Requests the memory tier missed (served from disk or computed).")
 	fmt.Fprintln(w, "# TYPE blitzd_cache_misses_total counter")
-	fmt.Fprintf(w, "blitzd_cache_misses_total %d\n", misses)
+	fmt.Fprintf(w, "blitzd_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintln(w, "# HELP blitzd_cache_evictions_total Results evicted by the LRU bounds.")
 	fmt.Fprintln(w, "# TYPE blitzd_cache_evictions_total counter")
-	fmt.Fprintf(w, "blitzd_cache_evictions_total %d\n", evictions)
+	fmt.Fprintf(w, "blitzd_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintln(w, "# HELP blitzd_cache_entries Results currently cached.")
 	fmt.Fprintln(w, "# TYPE blitzd_cache_entries gauge")
-	fmt.Fprintf(w, "blitzd_cache_entries %d\n", entries)
+	fmt.Fprintf(w, "blitzd_cache_entries %d\n", cs.Entries)
 	fmt.Fprintln(w, "# HELP blitzd_cache_bytes Result bytes currently cached.")
 	fmt.Fprintln(w, "# TYPE blitzd_cache_bytes gauge")
-	fmt.Fprintf(w, "blitzd_cache_bytes %d\n", bytes)
+	fmt.Fprintf(w, "blitzd_cache_bytes %d\n", cs.Bytes)
 	fmt.Fprintln(w, "# HELP blitzd_coalesced_total Requests that shared another request's computation.")
 	fmt.Fprintln(w, "# TYPE blitzd_coalesced_total counter")
 	fmt.Fprintf(w, "blitzd_coalesced_total %d\n", coalesced)
@@ -270,18 +268,17 @@ func (m *metrics) write(w io.Writer, c *cache, p *pool, bus *trace.Bus, led *led
 	fmt.Fprintf(w, "blitzd_ledger_append_seconds_sum %g\n", ledgerAppends.sum)
 	fmt.Fprintf(w, "blitzd_ledger_append_seconds_count %d\n", ledgerAppends.count)
 
-	writeStoreMetrics(w, st)
+	writeStoreMetrics(w, cs.Disk)
 	writeTenantMetrics(w, reg)
 }
 
 // writeStoreMetrics renders the disk-tier section; nil means no store is
 // configured and the section is omitted entirely (absent, not zero, so
 // dashboards can tell "no disk tier" from "idle disk tier").
-func writeStoreMetrics(w io.Writer, st *store.Store) {
-	if st == nil {
+func writeStoreMetrics(w io.Writer, s *store.Stats) {
+	if s == nil {
 		return
 	}
-	s := st.Stats()
 	warmed := 0
 	if s.Warmed {
 		warmed = 1

@@ -72,8 +72,8 @@ type Config struct {
 	// additionally fans its trials out over the sweep package's own
 	// worker pool). Default 2.
 	Workers int
-	// CacheEntries and CacheBytes bound the result cache. Defaults 256
-	// entries, 64 MiB. Non-positive values disable the respective bound.
+	// CacheEntries and CacheBytes bound the memory tier. Defaults 256
+	// entries, 64 MiB. Negative values disable the respective bound.
 	CacheEntries int
 	CacheBytes   int64
 	// Logger receives one structured line per finished request. Default:
@@ -101,9 +101,9 @@ type Config struct {
 	// registry (every request maps to one unlimited anonymous tenant),
 	// which is byte-for-byte the pre-tenancy behavior.
 	Tenants *tenant.Registry
-	// Store, when non-nil, is the disk tier beneath the in-memory result
-	// cache: computed results (sweeps and shards) are persisted there and
-	// a memory miss consults it before computing, so the cache survives
+	// Store, when non-nil, is the disk tier beneath the memory tier:
+	// computed results (sweeps and shards) are persisted there and a
+	// memory miss consults it before computing, so the cache survives
 	// restarts and can be shared across cluster workers. Nil disables the
 	// tier.
 	Store *store.Store
@@ -119,7 +119,7 @@ type Config struct {
 type Server struct {
 	log     *slog.Logger
 	run     RunFunc
-	cache   *cache
+	results *store.Cache // memory tier over the optional disk tier
 	flights *flightGroup
 	pool    *pool
 	metrics *metrics
@@ -127,7 +127,6 @@ type Server struct {
 	bus     *trace.Bus
 	ledger  *ledger.Ledger
 	tenants *tenant.Registry
-	store   *store.Store
 
 	streamBuf int
 
@@ -203,7 +202,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		log:        cfg.Logger,
 		run:        cfg.Run,
-		cache:      newCache(cfg.CacheEntries, cfg.CacheBytes),
+		results:    store.NewCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store),
 		flights:    newFlightGroup(),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
 		metrics:    newMetrics(),
@@ -211,7 +210,6 @@ func New(cfg Config) *Server {
 		bus:        cfg.Bus,
 		ledger:     cfg.Ledger,
 		tenants:    cfg.Tenants,
-		store:      cfg.Store,
 		streamBuf:  cfg.StreamBuffer,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -266,7 +264,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReady))
 	mux.HandleFunc("/metrics", s.instrument("metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.write(w, s.cache, s.pool, s.bus, s.ledger, s.store, s.tenants)
+		s.metrics.write(w, s.results.Stats(), s.pool, s.bus, s.ledger, s.tenants)
 		if s.cluster != nil {
 			s.cluster.WriteMetrics(w)
 		}
@@ -345,10 +343,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req blitzcoin.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.finish(w, r, start, "", http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		s.finish(w, r, start, "", status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	norm := req.Normalized()
@@ -364,24 +360,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	kind := string(norm.Kind)
 	t := tenant.FromContext(r.Context())
 
-	if b, ok := s.cache.get(hash); ok {
+	// Every cache tier is consulted before the drain check: serving
+	// already-computed bytes is cheap and a draining daemon keeps doing it
+	// until Shutdown.
+	if b, tier, ok := s.results.Get(hash); ok {
 		t.CountHit()
 		t.ChargeBytes(len(b))
-		s.respond(w, r, start, norm, hash, b, true, false, "memory")
+		s.respond(w, r, start, norm, hash, b, true, false, tier)
 		return
-	}
-	// The disk tier sits beneath the memory cache and, like it, is
-	// consulted before the drain check: serving already-computed bytes is
-	// cheap and a draining daemon keeps doing it until Shutdown. A disk
-	// hit is promoted into memory so the next asker skips the read.
-	if s.store != nil {
-		if b, ok := s.store.Get(hash); ok {
-			s.cache.put(hash, kind, b)
-			t.CountHit()
-			t.ChargeBytes(len(b))
-			s.respond(w, r, start, norm, hash, b, true, false, "disk")
-			return
-		}
 	}
 	if s.draining.Load() {
 		s.finish(w, r, start, kind, http.StatusServiceUnavailable, errors.New("server draining"))
@@ -395,21 +381,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	f, leader := s.flights.lease(hash)
-	if leader {
-		// The computation runs under the server's base context, detached
-		// from this request: if the client disconnects mid-sweep, the
-		// result still lands in the cache for the next asker.
-		done := s.pool.track()
-		class := t.PriorityClass()
-		go func() {
-			defer done()
-			b, err := s.compute(s.baseCtx, hash, norm, class)
-			s.flights.complete(hash, f, b, err)
-		}()
-	} else {
-		s.metrics.addCoalesced()
-	}
+	// The sweep handler never abandons its flight, so the computation is
+	// detached from this request: if the client disconnects mid-sweep, the
+	// result still lands in the cache for the next asker.
+	class := t.PriorityClass()
+	f, leader := s.join(hash, kind, func(ctx context.Context) ([]byte, error) {
+		return s.compute(ctx, hash, norm, class)
+	})
 
 	select {
 	case <-f.done:
@@ -467,10 +445,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var sr blitzcoin.ShardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		s.finish(w, r, start, "shard", http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
+	if status, err := decodeBody(w, r, &sr); err != nil {
+		s.finish(w, r, start, "shard", status, fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
 	norm := sr.Request.Normalized()
@@ -503,40 +479,24 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("%s:%d-%d", hash, sr.Lo, sr.Hi)
 
-	if b, ok := s.cache.get(key); ok {
-		s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, b, true, false)
-		return
-	}
 	// Workers sharing a store directory consult it before executing: a
 	// shard another worker (or a previous life of this one) already
 	// computed is served from disk instead of re-run.
-	if s.store != nil {
-		if b, ok := s.store.Get(key); ok {
-			s.cache.put(key, string(norm.Kind)+"-shard", b)
-			s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, b, true, false)
-			return
-		}
+	if b, _, ok := s.results.Get(key); ok {
+		s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, b, true, false)
+		return
 	}
 	if s.draining.Load() {
 		s.finish(w, r, start, "shard", http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
 
-	// Shard flights are cancellable, unlike sweep flights: the coordinator
-	// cancels the losing copy of every speculation race, and keeping the
-	// loser running would burn a pool slot on rows the winner already
-	// produced byte-identically.
-	f, leader := s.flights.leaseShard(key, s.baseCtx)
-	if leader {
-		done := s.pool.track()
-		go func() {
-			defer done()
-			b, err := s.computeShard(f.ctx, key, norm, sr.Lo, sr.Hi)
-			s.flights.complete(key, f, b, err)
-		}()
-	} else {
-		s.metrics.addCoalesced()
-	}
+	// Unlike sweeps, shards abandon their flight on disconnect: the
+	// coordinator cancels the losing copy of every speculation race, and
+	// the loser would burn a pool slot on rows the winner already produced.
+	f, leader := s.join(key, string(norm.Kind)+"-shard", func(ctx context.Context) ([]byte, error) {
+		return s.computeShard(ctx, norm, sr.Lo, sr.Hi)
+	})
 
 	select {
 	case <-f.done:
@@ -556,10 +516,34 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, f.bytes, false, !leader)
 }
 
-// computeShard runs one validated shard on the bounded pool and caches its
-// marshaled ShardResult under the range-extended key. ctx is the flight
-// context: it dies with the last interested client.
-func (s *Server) computeShard(ctx context.Context, key string, norm blitzcoin.Request, lo, hi int) ([]byte, error) {
+// join attaches the request to the flight for key, or leads it: compute
+// runs under the flight's context with the pool's drain accounting, and
+// its bytes are cached in every tier before the flight completes. A failed
+// persist degrades to memory-only caching; it never fails the request.
+func (s *Server) join(key, kind string, compute func(context.Context) ([]byte, error)) (*flight, bool) {
+	f, leader := s.flights.lease(key, s.baseCtx)
+	if !leader {
+		s.metrics.addCoalesced()
+		return f, false
+	}
+	done := s.pool.track()
+	go func() {
+		defer done()
+		b, err := compute(f.ctx)
+		if err == nil {
+			if perr := s.results.Put(key, kind, b); perr != nil {
+				s.log.Warn("store put failed", "key", short(key), "error", perr)
+			}
+		}
+		s.flights.complete(key, f, b, err)
+	}()
+	return f, true
+}
+
+// computeShard runs one validated shard on the bounded pool and returns its
+// marshaled ShardResult. ctx is the flight context: it dies with the last
+// interested client.
+func (s *Server) computeShard(ctx context.Context, norm blitzcoin.Request, lo, hi int) ([]byte, error) {
 	if err := s.pool.acquire(ctx, tenant.ClassInteractive); err != nil {
 		return nil, err
 	}
@@ -572,8 +556,6 @@ func (s *Server) computeShard(ctx context.Context, key string, norm blitzcoin.Re
 	if err != nil {
 		return nil, fmt.Errorf("encoding shard result: %w", err)
 	}
-	s.cache.put(key, string(norm.Kind)+"-shard", b)
-	s.storePut(key, string(norm.Kind)+"-shard", b)
 	return b, nil
 }
 
@@ -605,11 +587,10 @@ func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time
 	)
 }
 
-// compute runs one validated request on the bounded pool and caches its
+// compute runs one validated request on the bounded pool and returns its
 // marshaled result, appending it to the ledger (and stamping the ledger
-// provenance into the cached bytes) when one is configured. Callers choose
-// the lifetime: handleSweep passes s.baseCtx to detach the computation from
-// the triggering request.
+// provenance into the bytes) when one is configured. ctx is the flight
+// context, detached from the triggering request.
 func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Request, class tenant.Class) ([]byte, error) {
 	if err := s.pool.acquire(ctx, class); err != nil {
 		return nil, err
@@ -625,21 +606,7 @@ func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Reques
 	}
 	b = s.stampLedger(hash, b)
 	s.metrics.addSweepRows(resultRows(res))
-	s.cache.put(hash, string(norm.Kind), b)
-	s.storePut(hash, string(norm.Kind), b)
 	return b, nil
-}
-
-// storePut persists computed bytes to the disk tier. Persistence failures
-// degrade to memory-only caching — a full or broken disk never fails the
-// sweep that produced the result.
-func (s *Server) storePut(key, kind string, b []byte) {
-	if s.store == nil {
-		return
-	}
-	if err := s.store.Put(key, kind, b); err != nil {
-		s.log.Warn("store put failed", "key", short(key), "error", err)
-	}
 }
 
 // stampLedger appends the result to the ledger and returns the bytes with
@@ -730,7 +697,7 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, start time.Time,
 	}
 	label := "error"
 	switch {
-	case status == http.StatusBadRequest:
+	case status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge:
 		label = "invalid"
 	case status == http.StatusConflict:
 		label = "mismatch"
@@ -769,6 +736,24 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 		out = append(out, entry{name, title})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// maxBodyBytes bounds /v1/sweep and /v1/shard request bodies: a request
+// is a few hundred bytes of options, so this only stops unbounded reads.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the size-bounded JSON body of r into v, rejecting
+// unknown fields. On error it also returns the status to answer with:
+// 413 for an oversized body, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

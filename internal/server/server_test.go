@@ -152,9 +152,8 @@ func TestCacheEviction(t *testing.T) {
 	if again.Cached {
 		t.Fatal("evicted entry served from cache")
 	}
-	_, _, evictions, entries, _ := srv.cache.stats()
-	if evictions == 0 || entries != 1 {
-		t.Fatalf("evictions=%d entries=%d", evictions, entries)
+	if st := srv.results.Stats(); st.Evictions == 0 || st.Entries != 1 {
+		t.Fatalf("evictions=%d entries=%d", st.Evictions, st.Entries)
 	}
 }
 
@@ -195,16 +194,20 @@ func TestValidationErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"empty":         `{}`,
-		"bad json":      `{"exchange": `,
-		"unknown field": `{"exchange": {"dimension": 4}}`,
-		"bad options":   `{"exchange": {"dim": 1}}`,
-		"two payloads":  `{"exchange": {}, "soc": {}}`,
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"empty":          {`{}`, http.StatusBadRequest},
+		"bad json":       {`{"exchange": `, http.StatusBadRequest},
+		"unknown field":  {`{"exchange": {"dimension": 4}}`, http.StatusBadRequest},
+		"bad options":    {`{"exchange": {"dim": 1}}`, http.StatusBadRequest},
+		"two payloads":   {`{"exchange": {}, "soc": {}}`, http.StatusBadRequest},
+		"oversized body": {`{"kind": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
-		resp, _ := postSweep(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+		resp, _ := postSweep(t, ts, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", name, resp.StatusCode, tc.want)
 		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/sweep")
@@ -344,7 +347,7 @@ func TestClientDisconnectKeepsComputationWarm(t *testing.T) {
 	// The detached computation still lands in the cache.
 	deadline := time.After(10 * time.Second)
 	for {
-		if hits, _, _, entries, _ := srv.cache.stats(); entries == 1 && hits >= 0 {
+		if srv.results.Stats().Entries == 1 {
 			break
 		}
 		select {

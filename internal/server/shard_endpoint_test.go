@@ -107,6 +107,7 @@ func TestShardEndpointValidation(t *testing.T) {
 		"invalid request":     {`{"request": {}, "lo": 0, "hi": 1}`, http.StatusBadRequest},
 		"unknown field":       {`{"request": ` + tinyExchange + `, "lo": 0, "hi": 1, "bogus": 1}`, http.StatusBadRequest},
 		"hash mismatch":       {`{"request": ` + tinyExchange + `, "lo": 0, "hi": 1, "options_hash": "deadbeef"}`, http.StatusConflict},
+		"oversized body":      {`{"options_hash": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for name, tc := range cases {
 		resp, _ := postShard(t, ts, tc.body)

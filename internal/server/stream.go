@@ -63,8 +63,8 @@ func writeSSE(w http.ResponseWriter, se streamEvent) error {
 // handleStream serves GET /v1/stream?hash=...: a server-sent-event stream
 // of the sweep's live events — trial progress, convergence markers, power
 // series points, and (in coordinator mode) shard lifecycle — ending with
-// the sweep-done or sweep-failed event. A hash already in the result
-// cache gets an immediate synthetic sweep-done. Subscribers are
+// the sweep-done or sweep-failed event. A hash already in either cache
+// tier gets an immediate synthetic sweep-done. Subscribers are
 // backpressured by a bounded ring: a client that reads too slowly loses
 // its oldest events (counted in blitzd_stream_dropped_total), never the
 // sweep result itself.
@@ -94,7 +94,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Subscribe before the cache check: if the sweep completes between the
-	// two, either the cache has it (synthetic done below) or its
+	// two, either a cache tier has it (synthetic done below) or its
 	// sweep-done event is already queued in the subscription.
 	sub := s.bus.Subscribe(hash, s.streamBuf)
 	defer func() {
@@ -106,7 +106,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	if _, ok := s.cache.get(hash); ok {
+	// A presence check in both tiers: it counts no hit or miss and promotes nothing.
+	if s.results.Has(hash) {
 		if err := writeSSE(w, streamEvent{Type: "sweep-done", Key: hash, OK: true, Cached: true}); err != nil {
 			return // client gone before the synthetic done; nothing to flush
 		}

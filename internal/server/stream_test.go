@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -136,6 +137,23 @@ func TestStreamCachedHashAnswersImmediately(t *testing.T) {
 	}
 	if ev := events[0]; ev.event != "sweep-done" || !ev.data.Cached || !ev.data.OK {
 		t.Fatalf("synthetic event %+v", ev)
+	}
+
+	// The stream's cache probe is a presence check: only the POST's
+	// memory lookup is counted.
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	raw, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"blitzd_cache_hits_total 0\n", "blitzd_cache_misses_total 1\n"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -339,6 +340,26 @@ func TestStoreServesAcrossRestart(t *testing.T) {
 	})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
+
+	// A subscriber to a hash held only on disk gets the synthetic cached
+	// sweep-done instead of waiting for a completion that will never be
+	// published. The probe does not promote: the POST below is still a
+	// disk hit.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	streamReq, err := http.NewRequestWithContext(ctx, http.MethodGet, ts2.URL+"/v1/stream?hash="+first.RequestHash, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamResp, err := ts2.Client().Do(streamReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, bufio.NewScanner(streamResp.Body), 10)
+	streamResp.Body.Close()
+	if len(events) != 1 || events[0].event != "sweep-done" || !events[0].data.Cached {
+		t.Fatalf("stream of a disk-only hash: %+v, want one cached sweep-done", events)
+	}
 
 	resp, second := postSweep(t, ts2, tinyExchange)
 	if resp.StatusCode != http.StatusOK {

@@ -1,9 +1,12 @@
-// Package store is blitzd's disk tier: a content-addressed result store
-// beneath the in-memory LRU. Results are already content-addressed by
-// canonical options hash + engine version, so a blob written once is
+// Package store owns blitzd's result tiers. Cache is the tier stack the
+// server does its one Get/Put against: a memory LRU over an optional disk
+// Store (nil disk means memory-only). Store is the disk tier, a
+// content-addressed result store. Results are already content-addressed
+// by canonical options hash + engine version, so a blob written once is
 // valid forever for that engine — the store just makes the mapping
 // durable across restarts and shareable between cluster workers pointed
-// at the same directory.
+// at the same directory. Both tiers keep their recency order in the same
+// unexported LRU.
 //
 // Layout: each entry is a pair of files under a two-hex-char fan-out
 // directory, named by the SHA-256 of (engine, key):
@@ -23,7 +26,6 @@
 package store
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -67,25 +69,15 @@ type Stats struct {
 	Warmed    bool
 }
 
-// entry is one indexed blob.
-type entry struct {
-	key    string
-	digest string
-	size   int64
-}
-
 // Store is the disk tier. All methods are safe for concurrent use;
 // Close waits for the background warm scan.
 type Store struct {
-	dir      string
-	engine   string
-	maxBytes int64
-	log      *slog.Logger
+	dir    string
+	engine string
+	log    *slog.Logger
 
 	mu     sync.Mutex
-	ll     *list.List               // front = most recently used
-	items  map[string]*list.Element // digest -> element
-	bytes  int64
+	index  lru // keyed by digest, byte-bounded; entries carry no bytes
 	warmed bool
 
 	hits, misses, writes, evictions, corrupt, errs uint64
@@ -104,14 +96,7 @@ func Open(dir, engine string, maxBytes int64, log *slog.Logger) (*Store, error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{
-		dir:      dir,
-		engine:   engine,
-		maxBytes: maxBytes,
-		log:      log,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	s := &Store{dir: dir, engine: engine, log: log, index: newLRU(0, maxBytes)}
 	s.warmWG.Add(1)
 	go s.warm()
 	return s, nil
@@ -147,27 +132,24 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	digest := s.digest(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[digest]; ok {
-		e := el.Value.(*entry)
-		b, err := s.readVerifyLocked(e.digest)
+	if _, ok := s.index.get(digest); ok {
+		b, err := s.readVerifyLocked(digest)
 		if err != nil {
 			s.log.Warn("store entry dropped", "key", shortKey(key), "error", err)
-			s.removeLocked(el)
+			s.index.remove(digest)
+			s.removeFiles(digest)
 			s.corrupt++
 			s.misses++
 			return nil, false
 		}
-		s.ll.MoveToFront(el)
 		s.hits++
 		return b, true
 	}
 	if !s.warmed {
 		// The boot scan hasn't reached this entry yet (or hasn't started);
 		// probe the disk directly and index what we find.
-		if b, size, err := s.probeLocked(digest); err == nil {
-			el := s.ll.PushFront(&entry{key: key, digest: digest, size: size})
-			s.items[digest] = el
-			s.bytes += size
+		if b, err := s.probeLocked(digest); err == nil {
+			s.index.put(digest, int64(len(b)), nil)
 			s.hits++
 			return b, true
 		}
@@ -176,20 +158,31 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// has reports whether key is stored without counting, promoting or reading
+// it: an index lookup, or a sidecar probe until the warm scan completes.
+func (s *Store) has(key string) bool {
+	digest := s.digest(key)
+	s.mu.Lock()
+	_, ok := s.index.items[digest]
+	warmed := s.warmed
+	s.mu.Unlock()
+	if ok || warmed {
+		return ok
+	}
+	_, err := os.Stat(s.sidecarPath(digest))
+	return err == nil
+}
+
 // probeLocked reads and verifies a pair straight off the disk.
-func (s *Store) probeLocked(digest string) ([]byte, int64, error) {
+func (s *Store) probeLocked(digest string) ([]byte, error) {
 	meta, err := s.readSidecar(s.sidecarPath(digest))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if meta.Engine != s.engine {
-		return nil, 0, fmt.Errorf("store: engine %s, want %s", meta.Engine, s.engine)
+		return nil, fmt.Errorf("store: engine %s, want %s", meta.Engine, s.engine)
 	}
-	b, err := s.readVerifyLocked(digest)
-	if err != nil {
-		return nil, 0, err
-	}
-	return b, int64(len(b)), nil
+	return s.readVerifyLocked(digest)
 }
 
 // readVerifyLocked reads a blob and checks it against its sidecar.
@@ -255,16 +248,7 @@ func (s *Store) Put(key, kind string, b []byte) error {
 	}
 
 	s.mu.Lock()
-	if el, ok := s.items[digest]; ok {
-		e := el.Value.(*entry)
-		s.bytes += int64(len(b)) - e.size
-		e.size = int64(len(b))
-		s.ll.MoveToFront(el)
-	} else {
-		el := s.ll.PushFront(&entry{key: key, digest: digest, size: int64(len(b))})
-		s.items[digest] = el
-		s.bytes += int64(len(b))
-	}
+	s.index.put(digest, int64(len(b)), nil)
 	s.writes++
 	s.gcLocked()
 	s.mu.Unlock()
@@ -313,26 +297,12 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 // gcLocked deletes least-recently-used entries until the byte bound
 // holds, never evicting the most recent entry.
 func (s *Store) gcLocked() {
-	if s.maxBytes <= 0 {
-		return
-	}
-	for s.bytes > s.maxBytes {
-		tail := s.ll.Back()
-		if tail == nil || tail == s.ll.Front() {
-			return
-		}
-		s.removeLocked(tail)
-		s.evictions++
-	}
+	s.evictions += s.index.evict(func(e *lruEntry) { s.removeFiles(e.key) })
 }
 
-// removeLocked unlinks an entry from the index and deletes its files.
-func (s *Store) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	s.ll.Remove(el)
-	delete(s.items, e.digest)
-	s.bytes -= e.size
-	for _, p := range []string{s.blobPath(e.digest), s.sidecarPath(e.digest)} {
+// removeFiles deletes an entry's blob and sidecar; s.mu must be held.
+func (s *Store) removeFiles(digest string) {
+	for _, p := range []string{s.blobPath(digest), s.sidecarPath(digest)} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 			s.errs++
 			s.log.Warn("store remove", "path", p, "error", err)
@@ -413,15 +383,13 @@ func (s *Store) warm() {
 	indexed := 0
 	s.mu.Lock()
 	for _, f := range scanned {
-		if _, ok := s.items[f.digest]; ok {
+		if _, ok := s.index.items[f.digest]; ok {
 			continue // a concurrent Put or probe got here first
 		}
-		el := s.ll.PushFront(&entry{key: f.meta.Key, digest: f.digest, size: f.meta.Size})
-		s.items[f.digest] = el
-		s.bytes += f.meta.Size
+		s.index.put(f.digest, f.meta.Size, nil)
 		indexed++
 	}
-	total, bytes := s.ll.Len(), s.bytes
+	total, bytes := s.index.ll.Len(), s.index.bytes
 	s.mu.Unlock()
 	s.log.Info("store warm", "dir", s.dir, "indexed", indexed, "entries", total, "bytes", bytes)
 }
@@ -443,8 +411,8 @@ func (s *Store) Stats() Stats {
 		Evictions: s.evictions,
 		Corrupt:   s.corrupt,
 		Errors:    s.errs,
-		Entries:   s.ll.Len(),
-		Bytes:     s.bytes,
+		Entries:   s.index.ll.Len(),
+		Bytes:     s.index.bytes,
 		Warmed:    s.warmed,
 	}
 }

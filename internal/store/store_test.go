@@ -252,3 +252,102 @@ func TestPutOverwrite(t *testing.T) {
 		t.Errorf("stats after overwrite = %+v", st)
 	}
 }
+
+func TestCacheMemoryOnly(t *testing.T) {
+	c := NewCache(2, 0, nil)
+	if _, _, ok := c.Get("a"); ok {
+		t.Fatal("empty cache hit")
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := c.Put(k, "exchange", []byte(k)); err != nil {
+			t.Fatalf("memory-only Put: %v", err)
+		}
+	}
+	if _, _, ok := c.Get("a"); ok {
+		t.Error("least-recently-used entry survived the entry bound")
+	}
+	if b, tier, ok := c.Get("c"); !ok || tier != "memory" || string(b) != "c" {
+		t.Errorf("Get(c) = %q, %q, %v", b, tier, ok)
+	}
+	if !c.Has("b") || c.Has("a") {
+		t.Error("Has disagrees with the resident entries")
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 || st.Entries != 2 || st.Bytes != 2 || st.Disk != nil {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+func TestCacheByteBoundKeepsNewest(t *testing.T) {
+	c := NewCache(0, 4, nil)
+	c.Put("small", "exchange", []byte("ab"))
+	c.Put("big", "exchange", []byte("0123456789"))
+	if c.Has("small") || !c.Has("big") {
+		t.Error("byte bound must evict older entries but never the newest")
+	}
+}
+
+func TestCacheDiskTierPromotes(t *testing.T) {
+	dir := t.TempDir()
+	disk := openT(t, dir, 0)
+	if err := disk.Put("k", "exchange", []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	disk.Close()
+
+	disk = openT(t, dir, 0)
+	c := NewCache(8, 0, disk)
+	if !c.Has("k") {
+		t.Fatal("Has missed a disk-only entry")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 || st.Disk.Hits != 0 {
+		t.Fatalf("Has counted or promoted: %+v / %+v", st, *st.Disk)
+	}
+	if b, tier, ok := c.Get("k"); !ok || tier != "disk" || string(b) != "blob" {
+		t.Fatalf("first Get = %q, %q, %v; want a disk hit", b, tier, ok)
+	}
+	if _, tier, _ := c.Get("k"); tier != "memory" {
+		t.Errorf("second Get tier = %q; want memory after promotion", tier)
+	}
+	if err := c.Put("n", "exchange", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := disk.Get("n"); !ok || string(b) != "new" {
+		t.Error("Put did not write through to the disk tier")
+	}
+	if _, _, ok := c.Get("absent"); ok {
+		t.Error("hit on a key in neither tier")
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 2 || st.Disk.Hits != 2 || st.Disk.Misses != 1 || st.Disk.Writes != 1 {
+		t.Errorf("stats = %+v / %+v", st, *st.Disk)
+	}
+}
+
+// TestCacheConcurrent drives both tiers from several goroutines at once
+// (run under -race): lookups, presence checks, promotions and writes
+// through to disk, with a memory bound small enough to evict constantly.
+func TestCacheConcurrent(t *testing.T) {
+	c := NewCache(3, 0, openT(t, t.TempDir(), 0))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := fmt.Sprintf("k%d", (g+i)%8)
+				if b, _, ok := c.Get(key); ok && string(b) != key {
+					t.Errorf("Get(%s) = %q", key, b)
+				}
+				c.Has(key)
+				if err := c.Put(key, "exchange", []byte(key)); err != nil {
+					t.Errorf("Put: %v", err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Entries != 3 || st.Disk.Entries != 8 {
+		t.Errorf("stats = %+v / %+v", st, *st.Disk)
+	}
+}

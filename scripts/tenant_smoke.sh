@@ -9,7 +9,9 @@
 #   3. restart blitzd on the same store directory and assert the sweep is
 #      served from disk byte-identically — blitzctl -verify proves the
 #      served bytes hash to the pre-restart ledger entry, and
-#      blitzd_sweep_rows_total stays 0 (zero engine executions).
+#      blitzd_sweep_rows_total stays 0 (zero engine executions); the same
+#      request follows its /v1/stream, which must answer the disk-only
+#      hash with a synthetic cached sweep-done.
 # Exits non-zero on any failure. No curl dependency; blitzctl is the client.
 set -eu
 
@@ -129,7 +131,7 @@ echo "tenant-smoke: blitzd back on $addr"
 
 echo "tenant-smoke: sweep must be served from disk, byte-identically, with zero executions"
 third=$(BLITZ_API_KEY=alice-secret "$workdir/blitzctl" -addr "$addr" \
-    -exchange -dim 4 -trials 2 -seed 1 -verify 2>"$workdir/verify.log")
+    -exchange -dim 4 -trials 2 -seed 1 -verify -stream 2>"$workdir/verify.log")
 case "$third" in
 *'"cached": true'*'"tier": "disk"'*) ;;
 *) echo "tenant-smoke: post-restart response not a disk hit: $third" >&2; exit 1 ;;
@@ -141,6 +143,13 @@ grep -q 'ledger verification OK' "$workdir/verify.log" || {
     cat "$workdir/verify.log" >&2
     exit 1
 }
+# The stream subscribed before the POST, while the hash was on disk only.
+if grep -q 'stream did not complete' "$workdir/verify.log" ||
+    ! grep -q 'sweep-done.*"cached":true' "$workdir/verify.log"; then
+    echo "tenant-smoke: stream of the disk-only hash did not answer with a cached sweep-done" >&2
+    cat "$workdir/verify.log" >&2
+    exit 1
+fi
 
 # The served result and the pre-restart result must be the same bytes.
 first_result=$(printf '%s' "$first" | sed -n 's/.*"result"://p')
