@@ -45,9 +45,6 @@ type Config struct {
 	// Logger receives worker state transitions and dispatch failures.
 	// Default: slog.Default().
 	Logger *slog.Logger
-	// Client performs every worker HTTP call. Default: a fresh
-	// http.Client (per-call timeouts come from contexts).
-	Client *http.Client
 	// Bus receives the coordinator-side live events of every distributed
 	// sweep: the sweep lifecycle plus shard dispatch/completion, keyed by
 	// the request's canonical hash — the bridge that lets a coordinator's
@@ -108,9 +105,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	if cfg.Bus == nil {
 		cfg.Bus = trace.Default()
 	}
@@ -121,7 +115,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:       opts,
 		log:        cfg.Logger,
-		client:     cfg.Client,
+		client:     &http.Client{},
 		registry:   newRegistry(opts.Workers),
 		bus:        cfg.Bus,
 		baseCtx:    ctx,

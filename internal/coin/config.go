@@ -61,28 +61,10 @@ type Config struct {
 
 	// DynamicTiming enables the exponential back-off of Sec. III-D: an
 	// exchange that moves zero coins scales the tile's interval up by
-	// Lambda; a productive exchange shrinks it by ShrinkK, floored at
-	// RefreshInterval.
+	// backoff (λ); a productive exchange snaps a backed-off tile to the
+	// base refresh interval and then keeps shrinking it by shrinkK, down to
+	// minInterval.
 	DynamicTiming bool
-	// Lambda is the back-off factor (> 1). Zero selects the default 2.
-	Lambda float64
-	// ShrinkK is the additive interval decrease on a productive exchange.
-	// A productive exchange first snaps a backed-off tile to the base
-	// refresh interval and then keeps shrinking it by ShrinkK per
-	// productive exchange, down to MinInterval — this is the
-	// "reduced refresh interval" of Sec. III-D that makes actively
-	// converging regions exchange faster than the conservative base rate.
-	// Zero selects RefreshInterval/2.
-	ShrinkK sim.Cycles
-	// MinInterval floors the accelerated interval. Zero selects
-	// RefreshInterval/8 (at least 2 cycles).
-	MinInterval sim.Cycles
-	// MaxInterval caps the backed-off interval. Zero selects the default
-	// 8x RefreshInterval: deep sleeps would starve the random-pairing
-	// cadence (which counts exchanges, not cycles) and delay the wake-up
-	// of quiet regions when a coin wave arrives, costing more time than
-	// the saved packets are worth.
-	MaxInterval sim.Cycles
 
 	// RandomPairing enables intermittent exchanges with non-neighbor
 	// tiles, which eliminates local-minimum deadlocks (Sec. III-E).
@@ -102,7 +84,8 @@ type Config struct {
 	MaxCycles sim.Cycles
 	// QuiesceWindow: the run also ends once no coins have moved for this
 	// many cycles and no exchange is in flight. Zero selects a default of
-	// 64x RefreshInterval (or MaxInterval when dynamic timing is on).
+	// 64x RefreshInterval (or 4x maxInterval when dynamic timing is on and
+	// that is longer).
 	QuiesceWindow sim.Cycles
 	// StopAtConvergence ends the run at the first threshold crossing
 	// instead of running to quiescence. Convergence-time experiments
@@ -150,29 +133,10 @@ type Config struct {
 	// experiments must stay bit-identical.
 	Harden bool
 
-	// ExchangeTimeout is how long an initiator waits for its exchange to
-	// complete before releasing busy and retrying. Zero selects four
-	// worst-case network round trips plus two refresh intervals, so a
-	// merely-delayed reply almost never races the timeout.
-	ExchangeTimeout sim.Cycles
-	// LockTimeout is the participation-lock watchdog: a tile locked by a
-	// 4-way center frees itself after this long, surviving a center that
-	// died mid-exchange. Zero selects 2x ExchangeTimeout.
-	LockTimeout sim.Cycles
-	// RetryBackoff scales a tile's interval up after each timed-out
-	// exchange (capped at MaxInterval), so a partitioned tile does not spam
-	// the fabric. Zero selects 2.
-	RetryBackoff float64
 	// NeighborDeadAfter is how many consecutive timed-out exchanges with
 	// the same partner mark it dead and prune it from the round-robin and
 	// random-pairing sets. Zero selects 4.
 	NeighborDeadAfter int
-	// AuditInterval is the period of the distributed coin-conservation
-	// audit, which re-mints leaked coins and burns duplicated ones against
-	// each tile's local target. Zero selects 8x RefreshInterval, so the
-	// pool is repaired within a bounded number of refresh intervals after
-	// any fault.
-	AuditInterval sim.Cycles
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults and panics
@@ -183,24 +147,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RefreshInterval == 0 {
 		cfg.RefreshInterval = 32
-	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 2
-	}
-	if cfg.Lambda <= 1 {
-		panic("coin: Lambda must be > 1")
-	}
-	if cfg.MaxInterval == 0 {
-		cfg.MaxInterval = 8 * cfg.RefreshInterval
-	}
-	if cfg.ShrinkK == 0 {
-		cfg.ShrinkK = cfg.RefreshInterval / 2
-	}
-	if cfg.MinInterval == 0 {
-		cfg.MinInterval = cfg.RefreshInterval / 8
-		if cfg.MinInterval < 2 {
-			cfg.MinInterval = 2
-		}
 	}
 	if cfg.RandomPairingEvery == 0 {
 		cfg.RandomPairingEvery = 16
@@ -217,8 +163,8 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.QuiesceWindow == 0 {
 		w := 64 * cfg.RefreshInterval
-		if cfg.DynamicTiming && 4*cfg.MaxInterval > w {
-			w = 4 * cfg.MaxInterval
+		if cfg.DynamicTiming && 4*cfg.maxInterval() > w {
+			w = 4 * cfg.maxInterval()
 		}
 		cfg.QuiesceWindow = w
 	}
@@ -228,24 +174,52 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		cfg.Harden = true
 	}
-	if cfg.ExchangeTimeout == 0 {
-		diam := sim.Cycles(cfg.Mesh.MaxHopDistance())
-		cfg.ExchangeTimeout = 4*(cfg.NoC.RouterLatency+cfg.NoC.HopLatency*diam) + 2*cfg.RefreshInterval
-	}
-	if cfg.LockTimeout == 0 {
-		cfg.LockTimeout = 2 * cfg.ExchangeTimeout
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 2
-	}
-	if cfg.RetryBackoff <= 1 {
-		panic("coin: RetryBackoff must be > 1")
-	}
 	if cfg.NeighborDeadAfter == 0 {
 		cfg.NeighborDeadAfter = 4
 	}
-	if cfg.AuditInterval == 0 {
-		cfg.AuditInterval = 8 * cfg.RefreshInterval
-	}
 	return cfg
 }
+
+// backoff is λ, the multiplicative interval back-off (> 1) of dynamic timing
+// (Sec. III-D). A timed-out exchange backs the tile's interval off by the
+// same factor, so a partitioned tile does not spam the fabric. Both are
+// capped at maxInterval.
+const backoff = 2.0
+
+// maxInterval caps the backed-off interval at 8x RefreshInterval: deep
+// sleeps would starve the random-pairing cadence (which counts exchanges,
+// not cycles) and delay the wake-up of quiet regions when a coin wave
+// arrives, costing more time than the saved packets are worth.
+func (cfg *Config) maxInterval() sim.Cycles { return 8 * cfg.RefreshInterval }
+
+// shrinkK is the additive interval decrease on a productive exchange,
+// RefreshInterval/2. Shrinking below the base rate down to minInterval is
+// the "reduced refresh interval" of Sec. III-D that makes actively
+// converging regions exchange faster than the conservative base rate.
+func (cfg *Config) shrinkK() sim.Cycles { return cfg.RefreshInterval / 2 }
+
+// minInterval floors the accelerated interval at RefreshInterval/8, and at
+// 2 cycles.
+func (cfg *Config) minInterval() sim.Cycles {
+	return max(cfg.RefreshInterval/8, 2)
+}
+
+// exchangeTimeout is how long a hardened initiator waits for its exchange
+// to complete before releasing busy and retrying: four worst-case network
+// round trips across the mesh diameter plus two refresh intervals, so a
+// merely-delayed reply almost never races the timeout.
+func (cfg *Config) exchangeTimeout() sim.Cycles {
+	diam := sim.Cycles(cfg.Mesh.MaxHopDistance())
+	return 4*(cfg.NoC.RouterLatency+cfg.NoC.HopLatency*diam) + 2*cfg.RefreshInterval
+}
+
+// lockTimeout is the participation-lock watchdog, 2x exchangeTimeout: a
+// tile locked by a 4-way center frees itself after this long, surviving a
+// center that died mid-exchange.
+func (cfg *Config) lockTimeout() sim.Cycles { return 2 * cfg.exchangeTimeout() }
+
+// auditInterval is the period of the distributed coin-conservation audit,
+// which re-mints leaked coins and burns duplicated ones against each tile's
+// local target: 8x RefreshInterval, so the pool is repaired within a
+// bounded number of refresh intervals after any fault.
+func (cfg *Config) auditInterval() sim.Cycles { return 8 * cfg.RefreshInterval }

@@ -487,7 +487,7 @@ func (e *Emulator) Init(a Assignment) {
 		e.kernel.ScheduleOp(phase, e.opTick, int32(i), 0)
 	}
 	if e.hardened {
-		e.kernel.ScheduleOp(e.cfg.AuditInterval, e.opAudit, 0, 0)
+		e.kernel.ScheduleOp(e.cfg.auditInterval(), e.opAudit, 0, 0)
 	}
 }
 
@@ -834,7 +834,7 @@ func (e *Emulator) armExchangeTimeout(i int) {
 	if !e.hardened {
 		return
 	}
-	e.kernel.ScheduleOp(e.cfg.ExchangeTimeout, e.opTimeout, int32(i), e.seqNo[i])
+	e.kernel.ScheduleOp(e.cfg.exchangeTimeout(), e.opTimeout, int32(i), e.seqNo[i])
 }
 
 // exchangeTimeout abandons an exchange whose completion never arrived:
@@ -874,11 +874,7 @@ func (e *Emulator) exchangeTimeout(i int, seq uint64) {
 	e.busyCount--
 	// Exponential retry back-off: a tile facing a lossy or partitioned
 	// fabric slows down instead of spamming it.
-	ni := sim.Cycles(float64(e.interval[i]) * e.cfg.RetryBackoff)
-	if ni > e.cfg.MaxInterval {
-		ni = e.cfg.MaxInterval
-	}
-	e.interval[i] = ni
+	e.interval[i] = min(sim.Cycles(float64(e.interval[i])*backoff), e.cfg.maxInterval())
 }
 
 // strikePartner records a timed-out exchange against a partner; after
@@ -1007,7 +1003,7 @@ func (e *Emulator) lockTile(i, center int) {
 	e.lockSeq[i]++
 	e.lockedCount++
 	if e.hardened {
-		e.kernel.ScheduleOp(e.cfg.LockTimeout, e.opWatchdog, int32(i), e.lockSeq[i])
+		e.kernel.ScheduleOp(e.cfg.lockTimeout(), e.opWatchdog, int32(i), e.lockSeq[i])
 	}
 }
 
@@ -1206,7 +1202,7 @@ func (e *Emulator) audit() {
 	if e.liveCount > 0 {
 		e.runAudit()
 	}
-	e.kernel.ScheduleOp(e.cfg.AuditInterval, e.opAudit, 0, 0)
+	e.kernel.ScheduleOp(e.cfg.auditInterval(), e.opAudit, 0, 0)
 }
 
 // auditCand is one audit repair candidate: a live tile with a working
@@ -1305,12 +1301,12 @@ func (e *Emulator) runAudit() {
 }
 
 // adjustTiming applies the dynamic-timing rule (Sec. III-D): zero-coin
-// exchanges back off multiplicatively by Lambda, but only once a full
+// exchanges back off multiplicatively by backoff (λ), but only once a full
 // rotation's worth of consecutive exchanges was unproductive — a tile that
 // is still converging probes empty neighbors half the time, and stalling it
 // on the first miss would slow the transient it exists to speed up.
-// Productive exchanges shrink the interval by ShrinkK down to the base
-// refresh interval (with the default ShrinkK this is a snap back to base).
+// Productive exchanges snap the interval to the base refresh interval and
+// then shrink it by shrinkK, down to minInterval.
 func (e *Emulator) adjustTiming(i int, moved int64) {
 	if !e.cfg.DynamicTiming {
 		return
@@ -1326,11 +1322,7 @@ func (e *Emulator) adjustTiming(i int, moved int64) {
 		if e.zeroStreak[i] < 4 {
 			return
 		}
-		ni := sim.Cycles(float64(e.interval[i]) * e.cfg.Lambda)
-		if ni > e.cfg.MaxInterval {
-			ni = e.cfg.MaxInterval
-		}
-		e.interval[i] = ni
+		e.interval[i] = min(sim.Cycles(float64(e.interval[i])*backoff), e.cfg.maxInterval())
 	} else {
 		e.zeroStreak[i] = 0
 		// Snap a backed-off tile to the base rate, then accelerate below
@@ -1339,10 +1331,10 @@ func (e *Emulator) adjustTiming(i int, moved int64) {
 		if ni > e.cfg.RefreshInterval {
 			ni = e.cfg.RefreshInterval
 		}
-		if ni > e.cfg.MinInterval+e.cfg.ShrinkK {
-			ni -= e.cfg.ShrinkK
+		if ni > e.cfg.minInterval()+e.cfg.shrinkK() {
+			ni -= e.cfg.shrinkK()
 		} else {
-			ni = e.cfg.MinInterval
+			ni = e.cfg.minInterval()
 		}
 		e.interval[i] = ni
 	}
@@ -1390,7 +1382,7 @@ func (e *Emulator) Run() Result {
 	// Hardened runs settle before reporting: freeze new exchange initiation
 	// and let the in-flight work drain. Every busy flag has an armed timeout
 	// and every lock has a watchdog, so the drain is bounded by
-	// LockTimeout plus flight time — a flag that survives it is genuinely
+	// lockTimeout plus flight time — a flag that survives it is genuinely
 	// stranded, not a keep-alive transient. A final audit then repairs any
 	// damage postdating the last periodic one.
 	if e.hardened {

@@ -15,9 +15,6 @@ type BCC struct {
 	base
 	net      *noc.Network
 	ctrlTile int
-	// procCycles is the controller's firmware processing time per tile
-	// (poll handling plus state computation).
-	procCycles sim.Cycles
 
 	running bool // a reallocation round is in flight
 	rerun   bool // a change arrived mid-round; run again
@@ -28,25 +25,22 @@ type BCCConfig struct {
 	// CtrlTile is the mesh index hosting the on-chip controller (the CPU
 	// tile in the evaluated SoCs).
 	CtrlTile int
-	// ProcCycles is the per-tile firmware processing cost; zero selects
-	// the default 240 cycles (0.3 us at 800 MHz), which lands the N=13
-	// response in the paper's measured 3.8-8.0 us band.
-	ProcCycles sim.Cycles
 }
+
+// centralProcCycles is the centralized controllers' firmware processing
+// time per tile (poll handling plus state computation): 240 cycles (0.3 us
+// at 800 MHz), which lands the N=13 response in the paper's measured
+// 3.8-8.0 us band for BC-C and 3.7-6.4 us band for C-RR.
+const centralProcCycles sim.Cycles = 240
 
 // NewBCC builds the controller. The network is used to model the
 // sequential poll/update message traffic.
 func NewBCC(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW float64, cfg BCCConfig) *BCC {
-	c := &BCC{
-		base:       newBase("BC-C", k, specs, budgetMW),
-		net:        net,
-		ctrlTile:   cfg.CtrlTile,
-		procCycles: cfg.ProcCycles,
+	return &BCC{
+		base:     newBase("BC-C", k, specs, budgetMW),
+		net:      net,
+		ctrlTile: cfg.CtrlTile,
 	}
-	if c.procCycles == 0 {
-		c.procCycles = 240
-	}
-	return c
 }
 
 // Start is a no-op: BC-C is purely reactive to activity changes.
@@ -75,21 +69,21 @@ func (c *BCC) startRound() {
 	var t sim.Cycles
 	for _, s := range c.specs {
 		rt := 2 * c.net.UnicastLatencyLowerBound(c.ctrlTile, s.Tile)
-		t += rt + c.procCycles
+		t += rt + centralProcCycles
 	}
 	// Phase 2: compute shares (one processing quantum), then sequential
 	// updates, each landing one message latency after its send slot.
 	shares := func() []float64 {
 		return proportionalShares(c.specs, c.targets, c.budget)
 	}
-	send := t + c.procCycles
+	send := t + centralProcCycles
 	for i, s := range c.specs {
 		i, s := i, s
 		lat := c.net.UnicastLatencyLowerBound(c.ctrlTile, s.Tile)
 		c.kernel.Schedule(send+lat, func() {
 			c.setAlloc(i, shares()[i])
 		})
-		send += c.procCycles / 4 // update issue rate
+		send += centralProcCycles / 4 // update issue rate
 	}
 	c.kernel.Schedule(send, func() {
 		c.markResponded()

@@ -136,16 +136,6 @@ func (b *base) markResponded() {
 // ResponseSamples returns every recorded response time, in order.
 func (b *base) ResponseSamples() []sim.Cycles { return b.responses }
 
-// TotalAllocationMW returns the current sum of allocations, which every
-// scheme must keep at or below the budget.
-func (b *base) TotalAllocationMW() float64 {
-	var t float64
-	for _, a := range b.allocs {
-		t += a
-	}
-	return t
-}
-
 // proportionalShares computes each active tile's share of the budget in
 // proportion to its target, capped at the tile's PMax; freed headroom from
 // capped tiles is re-spread over the rest. This is the allocation rule both

@@ -15,10 +15,9 @@ import (
 // (Sec. VI-A).
 type CRR struct {
 	base
-	net        *noc.Network
-	ctrlTile   int
-	procCycles sim.Cycles
-	rotation   sim.Cycles
+	net      *noc.Network
+	ctrlTile int
+	rotation sim.Cycles
 
 	cursor  int // round-robin start position
 	running bool
@@ -29,9 +28,6 @@ type CRR struct {
 // CRRConfig parameterizes the baseline.
 type CRRConfig struct {
 	CtrlTile int
-	// ProcCycles is the firmware cost per tile; zero selects 240 cycles,
-	// landing the N=13 response in the measured 3.7-6.4 us band.
-	ProcCycles sim.Cycles
 	// RotationCycles is the fairness rotation period; zero selects
 	// 40000 cycles (50 us).
 	RotationCycles sim.Cycles
@@ -40,14 +36,10 @@ type CRRConfig struct {
 // NewCRR builds the baseline controller.
 func NewCRR(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW float64, cfg CRRConfig) *CRR {
 	c := &CRR{
-		base:       newBase("C-RR", k, specs, budgetMW),
-		net:        net,
-		ctrlTile:   cfg.CtrlTile,
-		procCycles: cfg.ProcCycles,
-		rotation:   cfg.RotationCycles,
-	}
-	if c.procCycles == 0 {
-		c.procCycles = 240
+		base:     newBase("C-RR", k, specs, budgetMW),
+		net:      net,
+		ctrlTile: cfg.CtrlTile,
+		rotation: cfg.RotationCycles,
 	}
 	if c.rotation == 0 {
 		c.rotation = 40000
@@ -124,16 +116,16 @@ func (c *CRR) startRound(fromChange bool) {
 	var t sim.Cycles
 	for _, s := range c.specs {
 		rt := 2 * c.net.UnicastLatencyLowerBound(c.ctrlTile, s.Tile)
-		t += rt + c.procCycles
+		t += rt + centralProcCycles
 	}
-	send := t + c.procCycles
+	send := t + centralProcCycles
 	for i, s := range c.specs {
 		i, s := i, s
 		lat := c.net.UnicastLatencyLowerBound(c.ctrlTile, s.Tile)
 		c.kernel.Schedule(send+lat, func() {
 			c.setAlloc(i, c.grants()[i])
 		})
-		send += c.procCycles / 4
+		send += centralProcCycles / 4
 	}
 	c.kernel.Schedule(send, func() {
 		if fromChange {

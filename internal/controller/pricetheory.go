@@ -23,7 +23,6 @@ type PriceTheory struct {
 	clusters   [][]int // specs indices per cluster
 	mgrs       []int   // manager tile (mesh index) per cluster
 	marketTile int
-	procCycles sim.Cycles
 	epoch      sim.Cycles
 
 	pendingResponse bool
@@ -32,19 +31,14 @@ type PriceTheory struct {
 
 // PTConfig parameterizes the scheme.
 type PTConfig struct {
-	// ClusterSize groups consecutive specs; zero selects ceil(sqrt(N)), the
-	// balanced two-level hierarchy.
-	ClusterSize int
 	// MarketTile hosts the central market (the controller CPU tile).
 	MarketTile int
-	// ProcCycles is the per-message software handling cost at the managers
-	// and market; zero selects 400 cycles (0.5 us), calibrated to the
-	// hardware-scaled response times the paper derives from [81].
-	ProcCycles sim.Cycles
-	// EpochCycles separates market clearings; zero selects twice the
-	// clearing latency (the market runs back-to-back with slack).
-	EpochCycles sim.Cycles
 }
+
+// ptProcCycles is the per-message software handling cost at the managers
+// and market: 400 cycles (0.5 us), calibrated to the hardware-scaled
+// response times the paper derives from [81].
+const ptProcCycles sim.Cycles = 400
 
 // NewPriceTheory builds the hierarchical controller.
 func NewPriceTheory(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW float64, cfg PTConfig) *PriceTheory {
@@ -52,16 +46,10 @@ func NewPriceTheory(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW 
 		base:       newBase("PT", k, specs, budgetMW),
 		net:        net,
 		marketTile: cfg.MarketTile,
-		procCycles: cfg.ProcCycles,
-		epoch:      cfg.EpochCycles,
 	}
-	if c.procCycles == 0 {
-		c.procCycles = 400
-	}
-	size := cfg.ClusterSize
-	if size == 0 {
-		size = int(math.Ceil(math.Sqrt(float64(len(specs)))))
-	}
+	// Clusters of ceil(sqrt(N)) consecutive specs: the balanced two-level
+	// hierarchy.
+	size := int(math.Ceil(math.Sqrt(float64(len(specs)))))
 	for start := 0; start < len(specs); start += size {
 		end := start + size
 		if end > len(specs) {
@@ -75,9 +63,9 @@ func NewPriceTheory(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW 
 		// The first tile of each cluster hosts its manager.
 		c.mgrs = append(c.mgrs, specs[start].Tile)
 	}
-	if c.epoch == 0 {
-		c.epoch = 2 * c.clearingLatency()
-	}
+	// Clearings are separated by twice the clearing latency: the market
+	// runs back-to-back with slack.
+	c.epoch = 2 * c.clearingLatency()
 	return c
 }
 
@@ -98,7 +86,7 @@ func (c *PriceTheory) clearingLatency() sim.Cycles {
 		var t sim.Cycles
 		for _, i := range idxs {
 			rt := 2 * c.net.UnicastLatencyLowerBound(c.mgrs[ci], c.specs[i].Tile)
-			t += rt + c.procCycles
+			t += rt + ptProcCycles
 		}
 		if t > gather {
 			gather = t
@@ -107,7 +95,7 @@ func (c *PriceTheory) clearingLatency() sim.Cycles {
 	var market sim.Cycles
 	for ci := range c.clusters {
 		rt := 2 * c.net.UnicastLatencyLowerBound(c.marketTile, c.mgrs[ci])
-		market += rt + c.procCycles
+		market += rt + ptProcCycles
 	}
 	scatter := gather // symmetric distribution pass
 	return gather + market + scatter

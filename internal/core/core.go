@@ -120,7 +120,7 @@ const (
 	CSRFTarget      = 0x10 // current LUT output, MHz (read-only)
 	CSRROTrim       = 0x14 // ring-oscillator trim code
 	CSRStatus       = 0x18 // bit0: negative transient; bit1: saturated
-	CSRFaultStatus  = 0x1C // bit0: fail-stopped; bits 8..: exchange retries
+	CSRFaultStatus  = 0x1C // bit0: fail-stopped
 )
 
 // CSRFile is the memory-mapped register file reachable over NoC plane 5.
@@ -146,9 +146,8 @@ type TilePM struct {
 	CSRs    *CSRFile
 	Reg     *uvfr.Regulator
 
-	curve   *power.Curve
-	dead    bool
-	retries uint32
+	curve *power.Curve
+	dead  bool
 }
 
 // NewTilePM wires a PM unit for an accelerator with the given
@@ -199,9 +198,6 @@ func (t *TilePM) SetPowerMW(mw float64) {
 	t.CSRs.Write(CSRFTarget, uint32(f))
 }
 
-// Coins returns the current coin count.
-func (t *TilePM) Coins() int64 { return t.Counter.Get() }
-
 // FTargetMHz returns the LUT output for the current coin count.
 func (t *TilePM) FTargetMHz() float64 { return t.Reg.TargetMHz() }
 
@@ -237,13 +233,6 @@ func (t *TilePM) Kill() {
 
 // Alive reports whether the PM unit is still running.
 func (t *TilePM) Alive() bool { return !t.dead }
-
-// RecordRetry counts one abandoned-and-retried exchange into the fault CSR,
-// mirroring the emulator's timeout machinery into the tile's register file.
-func (t *TilePM) RecordRetry() {
-	t.retries++
-	t.CSRs.Write(CSRFaultStatus, t.CSRs.Read(CSRFaultStatus)&0xFF|t.retries<<8)
-}
 
 // Curve exposes the tile's characterization.
 func (t *TilePM) Curve() *power.Curve { return t.curve }

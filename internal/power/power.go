@@ -52,8 +52,11 @@ type ModelParams struct {
 	LeakFrac   float64 // fraction of PMax that is leakage
 	Vt         float64 // threshold voltage
 	Alpha      float64 // velocity-saturation exponent
-	NumPoints  int     // operating points across [VMin, VMax]
 }
+
+// numPoints is the number of operating points Synthesize spaces evenly
+// across [VMin, VMax].
+const numPoints = 11
 
 // defaults fills unset model fields with 12nm-class values.
 func (p ModelParams) defaults() ModelParams {
@@ -65,9 +68,6 @@ func (p ModelParams) defaults() ModelParams {
 	}
 	if p.LeakFrac == 0 {
 		p.LeakFrac = 0.12
-	}
-	if p.NumPoints == 0 {
-		p.NumPoints = 11
 	}
 	return p
 }
@@ -84,8 +84,8 @@ func Synthesize(p ModelParams) *Curve {
 	}
 	pdyn := p.PMaxmW * (1 - p.LeakFrac)
 	pleak := p.PMaxmW * p.LeakFrac
-	for i := 0; i < p.NumPoints; i++ {
-		v := p.VMin + (p.VMax-p.VMin)*float64(i)/float64(p.NumPoints-1)
+	for i := 0; i < numPoints; i++ {
+		v := p.VMin + (p.VMax-p.VMin)*float64(i)/float64(numPoints-1)
 		f := fOf(v)
 		pw := pdyn*(v/p.VMax)*(v/p.VMax)*(f/p.FMaxMHz) + pleak*math.Pow(v/p.VMax, 3)
 		c.Points = append(c.Points, Point{V: v, FMHz: f, PmW: pw})

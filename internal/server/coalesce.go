@@ -41,11 +41,13 @@ func newFlightGroup() *flightGroup {
 // lease returns the flight for key and whether the caller is its leader.
 // The leader must call complete exactly once. The flight's context derives
 // from base and is cancelled by the last abandon: a caller that stops
-// waiting before the flight completes must call abandon exactly once.
+// waiting before the flight completes must call abandon exactly once. A
+// flight every waiter abandoned is only winding down to context.Canceled,
+// so a new caller for its key leads a fresh flight instead of joining it.
 func (g *flightGroup) lease(key string, base context.Context) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
+	if f, ok := g.m[key]; ok && f.waiters > 0 {
 		f.waiters++
 		return f, false
 	}
@@ -86,11 +88,15 @@ func (g *flightGroup) active(hash string) bool {
 }
 
 // complete publishes the leader's outcome and retires the flight: later
-// requests for the key start fresh (and will hit the cache instead).
+// requests for the key start fresh (and will hit the cache instead). An
+// abandoned flight may already have been replaced by a fresh one, which
+// stays registered.
 func (g *flightGroup) complete(key string, f *flight, b []byte, err error) {
 	f.bytes, f.err = b, err
 	g.mu.Lock()
-	delete(g.m, key)
+	if g.m[key] == f {
+		delete(g.m, key)
+	}
 	g.mu.Unlock()
 	f.cancel()
 	close(f.done)

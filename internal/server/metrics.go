@@ -40,8 +40,8 @@ func (h *histogram) observe(seconds float64) {
 }
 
 // metrics is a hand-rolled Prometheus text-exposition registry: counters
-// the handler path increments plus gauges sampled from the cache and pool
-// at scrape time. Stdlib-only by design.
+// the handler path increments plus gauges sampled from the cache and the
+// admission controller at scrape time. Stdlib-only by design.
 type metrics struct {
 	mu sync.Mutex
 	// requests[kind][status] counts finished requests.
@@ -136,17 +136,11 @@ func (m *metrics) exit() {
 	m.mu.Unlock()
 }
 
-func (m *metrics) inflightNow() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inflight
-}
-
 // write renders the catalog in Prometheus text exposition format, in a
 // deterministic order. cs is the result tiers' snapshot; bus, led, and
 // reg are sampled at scrape time; led and cs.Disk may be nil (not
 // configured — their sections read zero or are omitted).
-func (m *metrics) write(w io.Writer, cs store.CacheStats, p *pool, bus *trace.Bus, led *ledger.Ledger, reg *tenant.Registry) {
+func (m *metrics) write(w io.Writer, cs store.CacheStats, adm *tenant.Admission, bus *trace.Bus, led *ledger.Ledger, reg *tenant.Registry) {
 	m.mu.Lock()
 	type labeled struct {
 		kind, status string
@@ -227,16 +221,16 @@ func (m *metrics) write(w io.Writer, cs store.CacheStats, p *pool, bus *trace.Bu
 	fmt.Fprintf(w, "blitzd_inflight_requests %d\n", inflight)
 	fmt.Fprintln(w, "# HELP blitzd_queue_depth Computations waiting for a worker slot.")
 	fmt.Fprintln(w, "# TYPE blitzd_queue_depth gauge")
-	fmt.Fprintf(w, "blitzd_queue_depth %d\n", p.queuedNow())
+	fmt.Fprintf(w, "blitzd_queue_depth %d\n", adm.QueueTotal())
 	fmt.Fprintln(w, "# HELP blitzd_admission_queue_depth Waiting computations by admission class.")
 	fmt.Fprintln(w, "# TYPE blitzd_admission_queue_depth gauge")
-	depths := p.queueDepths()
+	depths := adm.Depths()
 	for class, depth := range depths {
 		fmt.Fprintf(w, "blitzd_admission_queue_depth{class=%q} %d\n", tenant.Class(class).String(), depth)
 	}
 	fmt.Fprintln(w, "# HELP blitzd_workers_busy Worker slots currently computing.")
 	fmt.Fprintln(w, "# TYPE blitzd_workers_busy gauge")
-	fmt.Fprintf(w, "blitzd_workers_busy %d\n", p.busy.Load())
+	fmt.Fprintf(w, "blitzd_workers_busy %d\n", adm.Busy())
 	fmt.Fprintln(w, "# HELP blitzd_stream_subscribers Open /v1/stream subscriptions.")
 	fmt.Fprintln(w, "# TYPE blitzd_stream_subscribers gauge")
 	subs := 0

@@ -93,10 +93,6 @@ type Config struct {
 	// /v1/ledger/proof and /v1/ledger/root endpoints. Nil disables both:
 	// results are served unstamped and the endpoints 404.
 	Ledger *ledger.Ledger
-	// StreamBuffer is the per-subscriber event-ring capacity of /v1/stream;
-	// a subscriber that falls further behind loses its oldest events.
-	// Default 256.
-	StreamBuffer int
 	// Tenants authenticates and limits API clients. Default: an open
 	// registry (every request maps to one unlimited anonymous tenant),
 	// which is byte-for-byte the pre-tenancy behavior.
@@ -121,14 +117,20 @@ type Server struct {
 	run     RunFunc
 	results *store.Cache // memory tier over the optional disk tier
 	flights *flightGroup
-	pool    *pool
-	metrics *metrics
-	cluster ClusterBackend
-	bus     *trace.Bus
-	ledger  *ledger.Ledger
-	tenants *tenant.Registry
-
-	streamBuf int
+	// admission bounds how many computations run at once: each class
+	// (interactive, batch) has its own bounded wait queue, releases grant
+	// interactive waiters first, and a class at its queue bound rejects
+	// immediately (surfaced as 503 + Retry-After) instead of growing an
+	// unbounded backlog. Its queued and busy counts are /metrics gauges,
+	// so back-pressure shows before latency does.
+	admission *tenant.Admission
+	// computing tracks every computation goroutine for the drain.
+	computing sync.WaitGroup
+	metrics   *metrics
+	cluster   ClusterBackend
+	bus       *trace.Bus
+	ledger    *ledger.Ledger
+	tenants   *tenant.Registry
 
 	// baseCtx outlives any single request: computations run under it so
 	// a disconnecting client cannot cancel work other clients (or the
@@ -185,9 +187,6 @@ func New(cfg Config) *Server {
 	if cfg.Bus == nil {
 		cfg.Bus = trace.Default()
 	}
-	if cfg.StreamBuffer == 0 {
-		cfg.StreamBuffer = 256
-	}
 	if cfg.Tenants == nil {
 		cfg.Tenants = tenant.Open()
 	}
@@ -204,13 +203,12 @@ func New(cfg Config) *Server {
 		run:        cfg.Run,
 		results:    store.NewCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store),
 		flights:    newFlightGroup(),
-		pool:       newPool(cfg.Workers, cfg.QueueDepth),
+		admission:  tenant.NewAdmission(cfg.Workers, cfg.QueueDepth),
 		metrics:    newMetrics(),
 		cluster:    cfg.Cluster,
 		bus:        cfg.Bus,
 		ledger:     cfg.Ledger,
 		tenants:    cfg.Tenants,
-		streamBuf:  cfg.StreamBuffer,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		drainCh:    make(chan struct{}),
@@ -264,7 +262,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReady))
 	mux.HandleFunc("/metrics", s.instrument("metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.write(w, s.results.Stats(), s.pool, s.bus, s.ledger, s.tenants)
+		s.metrics.write(w, s.results.Stats(), s.admission, s.bus, s.ledger, s.tenants)
 		if s.cluster != nil {
 			s.cluster.WriteMetrics(w)
 		}
@@ -286,8 +284,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Status:        "ready",
 		EngineVersion: blitzcoin.EngineVersion,
 		Draining:      s.draining.Load(),
-		QueuedSweeps:  s.pool.queuedNow(),
-		BusySweeps:    s.pool.busy.Load(),
+		QueuedSweeps:  s.admission.QueueTotal(),
+		BusySweeps:    s.admission.Busy(),
 	}
 	ready := !body.Draining
 	if s.cluster != nil {
@@ -323,14 +321,20 @@ func (s *Server) BeginDrain() {
 // cancelled so stragglers stop dispatching trials.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	err := s.pool.drain(ctx)
+	done := make(chan struct{})
+	go func() {
+		s.computing.Wait()
+		close(done)
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
 	s.baseCancel()
 	return err
 }
-
-// Inflight reports the requests currently inside the handler (used by
-// tests to synchronize with coalescing).
-func (s *Server) Inflight() int64 { return s.metrics.inflightNow() }
 
 // handleSweep is the daemon's one workhorse endpoint.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -517,7 +521,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // join attaches the request to the flight for key, or leads it: compute
-// runs under the flight's context with the pool's drain accounting, and
+// runs under the flight's context with the server's drain accounting, and
 // its bytes are cached in every tier before the flight completes. A failed
 // persist degrades to memory-only caching; it never fails the request.
 func (s *Server) join(key, kind string, compute func(context.Context) ([]byte, error)) (*flight, bool) {
@@ -526,9 +530,9 @@ func (s *Server) join(key, kind string, compute func(context.Context) ([]byte, e
 		s.metrics.addCoalesced()
 		return f, false
 	}
-	done := s.pool.track()
+	s.computing.Add(1)
 	go func() {
-		defer done()
+		defer s.computing.Done()
 		b, err := compute(f.ctx)
 		if err == nil {
 			if perr := s.results.Put(key, kind, b); perr != nil {
@@ -544,10 +548,10 @@ func (s *Server) join(key, kind string, compute func(context.Context) ([]byte, e
 // marshaled ShardResult. ctx is the flight context: it dies with the last
 // interested client.
 func (s *Server) computeShard(ctx context.Context, norm blitzcoin.Request, lo, hi int) ([]byte, error) {
-	if err := s.pool.acquire(ctx, tenant.ClassInteractive); err != nil {
+	if err := s.admission.Acquire(ctx, tenant.ClassInteractive); err != nil {
 		return nil, err
 	}
-	defer s.pool.release()
+	defer s.admission.Release()
 	res, err := blitzcoin.ExecuteShard(ctx, norm, lo, hi)
 	if err != nil {
 		return nil, err
@@ -592,10 +596,10 @@ func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time
 // provenance into the bytes) when one is configured. ctx is the flight
 // context, detached from the triggering request.
 func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Request, class tenant.Class) ([]byte, error) {
-	if err := s.pool.acquire(ctx, class); err != nil {
+	if err := s.admission.Acquire(ctx, class); err != nil {
 		return nil, err
 	}
-	defer s.pool.release()
+	defer s.admission.Release()
 	res, err := s.run(ctx, norm)
 	if err != nil {
 		return nil, err

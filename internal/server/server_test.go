@@ -73,11 +73,20 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 	}
 	// Release the single computation only once every request has joined
 	// the flight, so coalescing is actually exercised.
+	hash := hashOf(t, tinyExchange)
+	joined := func() int {
+		srv.flights.mu.Lock()
+		defer srv.flights.mu.Unlock()
+		if f, ok := srv.flights.m[hash]; ok {
+			return f.waiters
+		}
+		return 0
+	}
 	deadline := time.After(10 * time.Second)
-	for srv.Inflight() < n {
+	for joined() < n {
 		select {
 		case <-deadline:
-			t.Fatalf("only %d requests in flight", srv.Inflight())
+			t.Fatalf("only %d requests joined the flight", joined())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -101,6 +110,36 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 	}
 	if coalesced != n-1 {
 		t.Fatalf("coalesced = %d, want %d", coalesced, n-1)
+	}
+}
+
+// TestAbandonedFlightIsNotJoined: once every waiter has abandoned a flight
+// its context is cancelled, so a new request for the key must lead a fresh
+// flight instead of inheriting context.Canceled (a speculative shard copy
+// sent to a worker still winding down the cancelled loser of an earlier
+// race), and the old flight's completion must leave the fresh one
+// registered.
+func TestAbandonedFlightIsNotJoined(t *testing.T) {
+	g := newFlightGroup()
+	old, leader := g.lease("k", context.Background())
+	if !leader {
+		t.Fatal("first lease is not the leader")
+	}
+	g.abandon(old)
+	if old.ctx.Err() == nil {
+		t.Fatal("abandoned flight's context not cancelled")
+	}
+	fresh, leader := g.lease("k", context.Background())
+	if !leader || fresh == old || fresh.ctx.Err() != nil {
+		t.Fatalf("lease after abandon: leader %v, same flight %v, ctx err %v", leader, fresh == old, fresh.ctx.Err())
+	}
+	g.complete("k", old, nil, old.ctx.Err())
+	if !g.active("k") {
+		t.Fatal("the abandoned flight's completion retired the fresh flight")
+	}
+	g.complete("k", fresh, []byte("rows"), nil)
+	if g.active("k") {
+		t.Fatal("completed flight still registered")
 	}
 }
 

@@ -10,6 +10,10 @@ import (
 	"blitzcoin/internal/trace"
 )
 
+// streamBuffer is the per-subscriber event-ring capacity of /v1/stream; a
+// subscriber that falls further behind loses its oldest events.
+const streamBuffer = 256
+
 // streamEvent is the SSE data payload of one trace event: the flat wire
 // form of trace.Event plus the synthetic fields the server adds (a cached
 // sweep reports done without replaying its run).
@@ -96,7 +100,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Subscribe before the cache check: if the sweep completes between the
 	// two, either a cache tier has it (synthetic done below) or its
 	// sweep-done event is already queued in the subscription.
-	sub := s.bus.Subscribe(hash, s.streamBuf)
+	sub := s.bus.Subscribe(hash, streamBuffer)
 	defer func() {
 		sub.Close()
 		s.metrics.addStreamDropped(sub.Dropped())
@@ -122,15 +126,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			s.metrics.addStreamEvents(1)
-			if err := writeSSE(w, wireEvent(ev)); err != nil {
-				return
-			}
-			fl.Flush()
-			if ev.Type == trace.EventSweepDone || ev.Type == trace.EventSweepFailed {
+			if !ok || !s.forward(w, fl, ev) {
 				return
 			}
 		case <-keepalive.C:
@@ -140,11 +136,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		case <-drainCh:
 			// Drain began. If nothing is computing for this hash anymore,
-			// no completion event will ever arrive — end the stream so
-			// http.Server.Shutdown can finish. Otherwise keep following
-			// the in-flight sweep to its done/failed event.
+			// no new event will arrive: deliver what is already queued (a
+			// sweep that just finished has its done event there) and end
+			// the stream so http.Server.Shutdown can finish. Otherwise
+			// keep following the in-flight sweep to its done/failed event.
 			if !s.flights.active(hash) {
-				return
+				for {
+					select {
+					case ev, ok := <-sub.Events():
+						if !ok || !s.forward(w, fl, ev) {
+							return
+						}
+					default:
+						return
+					}
+				}
 			}
 			drainCh = nil
 		case <-r.Context().Done():
@@ -153,6 +159,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// forward writes one bus event to the stream and reports whether the
+// stream should go on: false after a write error or a done/failed event.
+func (s *Server) forward(w http.ResponseWriter, fl http.Flusher, ev trace.Event) bool {
+	s.metrics.addStreamEvents(1)
+	if err := writeSSE(w, wireEvent(ev)); err != nil {
+		return false
+	}
+	fl.Flush()
+	return ev.Type != trace.EventSweepDone && ev.Type != trace.EventSweepFailed
 }
 
 // handleLedgerProof serves GET /v1/ledger/proof?hash=...[&engine=...]: a

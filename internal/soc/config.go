@@ -130,12 +130,6 @@ type Config struct {
 	// Seed drives all randomized behavior.
 	Seed uint64
 
-	// CoinRefreshInterval overrides BlitzCoin's base exchange interval
-	// (cycles); zero selects 32.
-	CoinRefreshInterval sim.Cycles
-	// ConvergenceThreshold overrides BlitzCoin's Err threshold; zero
-	// selects 1.0.
-	ConvergenceThreshold float64
 	// MaxCycles bounds a run; zero selects 80M cycles (100 ms).
 	MaxCycles sim.Cycles
 

@@ -86,12 +86,6 @@ func New(cfg Config) *Runner {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.CoinRefreshInterval == 0 {
-		cfg.CoinRefreshInterval = 32
-	}
-	if cfg.ConvergenceThreshold == 0 {
-		cfg.ConvergenceThreshold = 1.0
-	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 80_000_000 // 100 ms
 	}
@@ -182,8 +176,7 @@ func New(cfg Config) *Runner {
 
 	switch cfg.Scheme {
 	case SchemeBC:
-		r.ctrl = newBCAdapter(k, net, specs, cfg.BudgetMW, src.Split(),
-			cfg.CoinRefreshInterval, cfg.ConvergenceThreshold)
+		r.ctrl = newBCAdapter(k, net, specs, cfg.BudgetMW, src.Split())
 	case SchemeBCC:
 		r.ctrl = controller.NewBCC(k, net, specs, cfg.BudgetMW,
 			controller.BCCConfig{CtrlTile: cfg.CPUTile()})

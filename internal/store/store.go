@@ -29,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"log/slog"
@@ -127,34 +128,50 @@ func (s *Store) sidecarPath(digest string) string {
 
 // Get returns the stored bytes for key, verifying them against the
 // sidecar digest. Before the warm scan completes, an index miss falls
-// through to a direct disk probe so restarts serve immediately.
+// through to a direct disk probe so restarts serve immediately. The index
+// lookup and the counting hold s.mu; the blob read and its SHA-256 do not.
 func (s *Store) Get(key string) ([]byte, bool) {
 	digest := s.digest(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index.get(digest); ok {
-		b, err := s.readVerifyLocked(digest)
-		if err != nil {
-			s.log.Warn("store entry dropped", "key", shortKey(key), "error", err)
-			s.index.remove(digest)
-			s.removeFiles(digest)
-			s.corrupt++
+	_, indexed := s.index.get(digest)
+	warmed := s.warmed
+	s.mu.Unlock()
+
+	if indexed {
+		b, err := s.readVerify(digest)
+		s.mu.Lock()
+		if err == nil {
+			s.hits++
+		} else {
 			s.misses++
-			return nil, false
+			// Since the lookup, GC may have removed the pair or a
+			// concurrent Get may have dropped it. Only a Get that still
+			// finds the entry drops and counts it, and a vanished file is
+			// a miss, not corruption.
+			if _, ok := s.index.items[digest]; ok && !errors.Is(err, fs.ErrNotExist) {
+				s.log.Warn("store entry dropped", "key", shortKey(key), "error", err)
+				s.index.remove(digest)
+				s.removeFiles(digest)
+				s.corrupt++
+			}
 		}
-		s.hits++
-		return b, true
+		s.mu.Unlock()
+		return b, err == nil
 	}
-	if !s.warmed {
+	if !warmed {
 		// The boot scan hasn't reached this entry yet (or hasn't started);
 		// probe the disk directly and index what we find.
-		if b, err := s.probeLocked(digest); err == nil {
+		if b, err := s.probe(digest); err == nil {
+			s.mu.Lock()
 			s.index.put(digest, int64(len(b)), nil)
 			s.hits++
+			s.mu.Unlock()
 			return b, true
 		}
 	}
+	s.mu.Lock()
 	s.misses++
+	s.mu.Unlock()
 	return nil, false
 }
 
@@ -173,8 +190,8 @@ func (s *Store) has(key string) bool {
 	return err == nil
 }
 
-// probeLocked reads and verifies a pair straight off the disk.
-func (s *Store) probeLocked(digest string) ([]byte, error) {
+// probe reads and verifies a pair straight off the disk.
+func (s *Store) probe(digest string) ([]byte, error) {
 	meta, err := s.readSidecar(s.sidecarPath(digest))
 	if err != nil {
 		return nil, err
@@ -182,11 +199,11 @@ func (s *Store) probeLocked(digest string) ([]byte, error) {
 	if meta.Engine != s.engine {
 		return nil, fmt.Errorf("store: engine %s, want %s", meta.Engine, s.engine)
 	}
-	return s.readVerifyLocked(digest)
+	return s.readVerify(digest)
 }
 
-// readVerifyLocked reads a blob and checks it against its sidecar.
-func (s *Store) readVerifyLocked(digest string) ([]byte, error) {
+// readVerify reads a blob and checks it against its sidecar.
+func (s *Store) readVerify(digest string) ([]byte, error) {
 	meta, err := s.readSidecar(s.sidecarPath(digest))
 	if err != nil {
 		return nil, err

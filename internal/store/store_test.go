@@ -121,6 +121,55 @@ func TestCorruptBlobDropped(t *testing.T) {
 	}
 }
 
+// TestCorruptBlobConcurrentGets races eight Gets of one corrupt pair
+// against traffic on other keys (run under -race): every Get of the corrupt
+// pair misses, the pair is dropped and counted once, and the other keys
+// keep serving their own bytes while the blob reads run outside the lock.
+func TestCorruptBlobConcurrentGets(t *testing.T) {
+	s := openT(t, t.TempDir(), 0)
+	s.warmWG.Wait()
+	if err := s.Put("bad", "exchange", []byte("good bytes")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.blobPath(s.digest("bad")), []byte("evil bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if b, ok := s.Get("bad"); ok {
+				t.Errorf("Get served a corrupt blob: %q", b)
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 20; i++ {
+				key := fmt.Sprintf("k%d", (g+i)%6)
+				if err := s.Put(key, "exchange", []byte(key)); err != nil {
+					t.Errorf("Put(%s): %v", key, err)
+				}
+				if b, ok := s.Get(key); !ok || string(b) != key {
+					t.Errorf("Get(%s) = %q, %v", key, b, ok)
+				}
+				s.Stats()
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if st := s.Stats(); st.Corrupt != 1 || st.Misses != 8 || st.Entries != 6 {
+		t.Errorf("stats = %+v, want Corrupt 1, Misses 8, Entries 6", st)
+	}
+}
+
 func TestGCEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	blob := bytes.Repeat([]byte("x"), 100)

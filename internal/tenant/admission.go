@@ -23,6 +23,7 @@ type waiter struct {
 // batch work without starving work already running.
 type Admission struct {
 	mu     sync.Mutex
+	slots  int
 	free   int
 	bound  int
 	queues [NumClasses][]*waiter
@@ -37,7 +38,7 @@ func NewAdmission(slots, queueBound int) *Admission {
 	if queueBound < 1 {
 		queueBound = 1
 	}
-	return &Admission{free: slots, bound: queueBound}
+	return &Admission{slots: slots, free: slots, bound: queueBound}
 }
 
 // Acquire obtains one execution slot at the given priority class,
@@ -122,6 +123,14 @@ func (a *Admission) Depths() [NumClasses]int {
 	}
 	a.mu.Unlock()
 	return d
+}
+
+// Busy returns the number of slots currently held, for the
+// blitzd_workers_busy gauge.
+func (a *Admission) Busy() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return int64(a.slots - a.free)
 }
 
 // QueueTotal returns the total number of queued waiters across classes.

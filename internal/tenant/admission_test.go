@@ -18,10 +18,16 @@ func TestAdmissionImmediateWhenFree(t *testing.T) {
 	if err := a.Acquire(ctx, ClassInteractive); err != nil {
 		t.Fatalf("second acquire: %v", err)
 	}
+	if got := a.Busy(); got != 2 {
+		t.Errorf("busy = %d, want 2", got)
+	}
 	a.Release()
 	a.Release()
 	if got := a.QueueTotal(); got != 0 {
 		t.Errorf("queue total = %d, want 0", got)
+	}
+	if got := a.Busy(); got != 0 {
+		t.Errorf("busy after release = %d, want 0", got)
 	}
 }
 

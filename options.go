@@ -368,15 +368,6 @@ const (
 	Static Scheme = "Static" // one-time proportional split, no reallocation
 )
 
-// knownScheme reports whether s names an implemented scheme.
-func knownScheme(s Scheme) bool {
-	switch s {
-	case BC, BCC, CRR, TS, PT, Static:
-		return true
-	}
-	return false
-}
-
 // Workload names a built-in workload DAG.
 type Workload string
 
@@ -395,15 +386,6 @@ const (
 	Silicon7    Workload = "silicon-7acc"
 	Silicon7Par Workload = "silicon-7acc-par"
 )
-
-// knownWorkload reports whether w names a built-in workload.
-func knownWorkload(w Workload) bool {
-	switch w {
-	case AVParallel, AVDependent, CVParallel, CVDependent, Silicon7, Silicon7Par:
-		return true
-	}
-	return false
-}
 
 // SoCOptions configures RunSoC. The zero value is completed with the
 // defaults noted per field (see Normalized).
@@ -442,17 +424,6 @@ func DefaultSoCOptions() SoCOptions {
 	return SoCOptions{}.Normalized()
 }
 
-// socPlatformDefaults maps each platform to its paper budget and parallel
-// workload.
-var socPlatformDefaults = map[string]struct {
-	budgetMW float64
-	workload Workload
-}{
-	"3x3": {120, AVParallel},
-	"4x4": {450, CVParallel},
-	"6x6": {200, Silicon7Par},
-}
-
 // Normalized returns a copy with every unset field replaced by its
 // documented default. Unknown platforms are left untouched for Validate
 // to report. Fault options are copied, not shared.
@@ -466,7 +437,7 @@ func (o SoCOptions) Normalized() SoCOptions {
 	if o.Repeat == 0 {
 		o.Repeat = 3
 	}
-	if d, ok := socPlatformDefaults[o.SoC]; ok {
+	if d, ok := socPlatforms[o.SoC]; ok {
 		if o.BudgetMW == 0 {
 			o.BudgetMW = d.budgetMW
 		}
@@ -486,13 +457,13 @@ func (o SoCOptions) Normalized() SoCOptions {
 // run itself, not here.
 func (o SoCOptions) Validate() error {
 	o = o.Normalized()
-	if _, ok := socPlatformDefaults[o.SoC]; !ok {
+	if _, ok := socPlatforms[o.SoC]; !ok {
 		return fmt.Errorf("blitzcoin: unknown SoC %q", o.SoC)
 	}
-	if !knownScheme(o.Scheme) {
+	if _, ok := socSchemes[o.Scheme]; !ok {
 		return fmt.Errorf("blitzcoin: unknown scheme %q", o.Scheme)
 	}
-	if !knownWorkload(o.Workload) {
+	if _, ok := socWorkloads[o.Workload]; !ok {
 		return fmt.Errorf("blitzcoin: unknown workload %q", o.Workload)
 	}
 	if o.BudgetMW <= 0 {

@@ -246,42 +246,37 @@ func SimulateExchange(o ExchangeOptions) ExchangeResult {
 	}
 }
 
-// lookupWorkload resolves a workload name.
-func lookupWorkload(name Workload) *workload.Graph {
-	switch name {
-	case AVParallel:
-		return workload.AutonomousVehicleParallel()
-	case AVDependent:
-		return workload.AutonomousVehicleDependent()
-	case CVParallel:
-		return workload.ComputerVisionParallel()
-	case CVDependent:
-		return workload.ComputerVisionDependent()
-	case Silicon7:
-		return workload.SevenAcceleratorSilicon()
-	case Silicon7Par:
-		return workload.SevenAcceleratorParallel()
-	}
-	panic(fmt.Sprintf("blitzcoin: unknown workload %q", name))
+// socPlatforms maps each platform to its builder, paper budget and
+// parallel workload. It is the one list of platforms: Normalized and
+// Validate read it, and runSoC builds from it.
+var socPlatforms = map[string]struct {
+	build    func(budgetMW float64, scheme soc.Scheme, seed uint64) soc.Config
+	budgetMW float64
+	workload Workload
+}{
+	"3x3": {soc.SoC3x3, 120, AVParallel},
+	"4x4": {soc.SoC4x4, 450, CVParallel},
+	"6x6": {soc.SoC6x6, 200, Silicon7Par},
 }
 
-// lookupScheme resolves a scheme name.
-func lookupScheme(s Scheme) soc.Scheme {
-	switch s {
-	case BC:
-		return soc.SchemeBC
-	case BCC:
-		return soc.SchemeBCC
-	case CRR:
-		return soc.SchemeCRR
-	case TS:
-		return soc.SchemeTS
-	case PT:
-		return soc.SchemePT
-	case Static:
-		return soc.SchemeStatic
-	}
-	panic(fmt.Sprintf("blitzcoin: unknown scheme %q", s))
+// socSchemes maps each implemented scheme name to the simulator's scheme.
+var socSchemes = map[Scheme]soc.Scheme{
+	BC:     soc.SchemeBC,
+	BCC:    soc.SchemeBCC,
+	CRR:    soc.SchemeCRR,
+	TS:     soc.SchemeTS,
+	PT:     soc.SchemePT,
+	Static: soc.SchemeStatic,
+}
+
+// socWorkloads maps each built-in workload name to its DAG builder.
+var socWorkloads = map[Workload]func() *workload.Graph{
+	AVParallel:  workload.AutonomousVehicleParallel,
+	AVDependent: workload.AutonomousVehicleDependent,
+	CVParallel:  workload.ComputerVisionParallel,
+	CVDependent: workload.ComputerVisionDependent,
+	Silicon7:    workload.SevenAcceleratorSilicon,
+	Silicon7Par: workload.SevenAcceleratorParallel,
 }
 
 // RunSoC executes a workload on a BlitzCoin-enabled SoC simulation and
@@ -300,24 +295,14 @@ func runSoC(o SoCOptions, st trace.Stream) SoCResult {
 	if err := o.Validate(); err != nil {
 		panic(err.Error())
 	}
-	scheme := lookupScheme(o.Scheme)
-
-	var cfg soc.Config
-	switch o.SoC {
-	case "3x3":
-		cfg = soc.SoC3x3(o.BudgetMW, scheme, o.Seed)
-	case "4x4":
-		cfg = soc.SoC4x4(o.BudgetMW, scheme, o.Seed)
-	case "6x6":
-		cfg = soc.SoC6x6(o.BudgetMW, scheme, o.Seed)
-	}
+	cfg := socPlatforms[o.SoC].build(o.BudgetMW, socSchemes[o.Scheme], o.Seed)
 	if o.AbsoluteProportional {
 		cfg.Strategy = soc.AbsoluteProportional
 	}
 	cfg.Faults = o.Faults.toInternal()
 	cfg.Stream = st
 
-	g := lookupWorkload(o.Workload)
+	g := socWorkloads[o.Workload]()
 	if o.Repeat > 1 {
 		g = workload.Repeat(g, o.Repeat)
 	}
@@ -361,7 +346,8 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 	if len(o.Tiles) != o.W*o.H {
 		return soc.Config{}, nil, fmt.Errorf("blitzcoin: %d tiles for a %dx%d grid", len(o.Tiles), o.W, o.H)
 	}
-	if !knownScheme(o.Scheme) {
+	scheme, ok := socSchemes[o.Scheme]
+	if !ok {
 		return soc.Config{}, nil, fmt.Errorf("blitzcoin: unknown scheme %q", o.Scheme)
 	}
 
@@ -392,7 +378,7 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 		Mesh:     mesh.New(o.W, o.H, o.Torus),
 		Tiles:    tiles,
 		BudgetMW: o.BudgetMW,
-		Scheme:   lookupScheme(o.Scheme),
+		Scheme:   scheme,
 		Strategy: soc.RelativeProportional,
 		Seed:     o.Seed,
 	}
